@@ -12,6 +12,12 @@ ascending-better *score*:
 Ties are broken by ascending tuple id everywhere, so the Spark engine,
 the local reference engine, numpy brute force, and the DuckDB oracle all
 return identical top-k sets.
+
+``topk_rows`` selects each row's k survivors with ``argpartition`` and
+orders only those k by ``(score, id)``. A partition may split a score tie
+at the k-th value arbitrarily, so a row is taken as exact only when no
+column outside its k survivors ties the k-th score; the rows that fail
+this boundary check fall back to a full two-key sort.
 """
 from __future__ import annotations
 
@@ -41,7 +47,9 @@ def topk_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-k of a score matrix with ``(score, id)`` tie-break.
 
-    Returns ``(top_ids, top_scores)`` of shape ``(rows, k')`` with
+    ``ids`` is ``(n,)`` when every row scores the same columns, or
+    ``(rows, n)`` when each row has its own candidates. Returns
+    ``(top_ids, top_scores)`` of shape ``(rows, k')`` with
     ``k' = min(k, scores.shape[1])``, each row sorted ascending by
     ``(score, id)``.
     """
@@ -49,42 +57,26 @@ def topk_rows(
     k = min(k, n)
     if k == 0:
         return np.empty((nq, 0), dtype=ids.dtype), np.empty((nq, 0))
-    # Two-key sort: permute columns into ascending-id order once (ids are
-    # shared by every row), then a stable per-row sort on score yields
-    # (score, id) order. A plain argpartition would split score ties at
-    # the k boundary arbitrarily, violating the tie-break contract.
-    perm = np.argsort(ids, kind="stable")
-    ids_sorted = ids[perm]
-    s = np.ascontiguousarray(scores[:, perm])
-    order = np.argsort(s, axis=1, kind="stable")[:, :k]
+    # Shared ids stay 1-D: broadcasting them costs more than the whole
+    # selection on the one-row, short calls of per-query scans.
     row = np.arange(nq)[:, None]
-    return ids_sorted[order], s[row, order]
-
-
-def merge_topk(
-    ids_a: np.ndarray,
-    scores_a: np.ndarray,
-    ids_b: np.ndarray,
-    scores_b: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two per-query top-k lists (same number of rows) into one.
-
-    Used to combine partial results from different posting lists or
-    partitions; the per-query bounded-heap of Algorithm 3 line 12 is
-    expressed as repeated merges of sorted arrays.
-    """
-    ids = np.concatenate([ids_a, ids_b], axis=1)
-    scores = np.concatenate([scores_a, scores_b], axis=1)
-    return _merge(ids, scores, k)
-
-
-def _merge(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    nq, n = scores.shape
-    k = min(k, n)
-    row = np.arange(nq)[:, None]
-    order = np.argsort(ids, axis=1, kind="stable")
-    ids, scores = ids[row, order], scores[row, order]
-    order = np.argsort(scores, axis=1, kind="stable")
-    ids, scores = ids[row, order], scores[row, order]
-    return ids[:, :k], scores[:, :k]
+    if k < n:
+        cols = np.argpartition(scores, k - 1, axis=1)[:, :k]
+        # argpartition splits score ties at the k-th value arbitrarily. A
+        # row's k survivors are its (score, id) top-k exactly when only k
+        # of its columns score <= its k-th value; rows with more take the
+        # full two-key sort.
+        below = scores <= scores[row, cols[:, k - 1 :]]
+        if np.count_nonzero(below) > nq * k:
+            ties = np.flatnonzero(below.sum(axis=1) > k)
+            tie_ids = (
+                ids[ties] if ids.ndim == 2 else np.broadcast_to(ids, (len(ties), n))
+            )
+            cols[ties] = np.lexsort((tie_ids, scores[ties]), axis=-1)[:, :k]
+        top_scores = scores[row, cols]
+        top_ids = ids[cols] if ids.ndim == 1 else ids[row, cols]
+    else:
+        top_scores = scores
+        top_ids = ids if ids.ndim == 2 else np.repeat(ids[None, :], nq, axis=0)
+    order = np.lexsort((top_ids, top_scores), axis=-1)
+    return top_ids[row, order], top_scores[row, order]

@@ -10,7 +10,11 @@ supports the two scan modes the evaluation compares:
   bitmap, but each query scans its probed lists individually);
 - ``batch_search`` — Algorithm 3: queries are grouped by nearest
   centroid and each (query-group × posting-list) distance block is one
-  matrix multiplication.
+  matrix multiplication. Each block's per-query top-k survivors go into
+  a per-query candidate buffer (one k-wide slot per probed list, padded
+  with ``PAD_ID`` / ``inf``), and one selection per query over that
+  buffer at the end is Algorithm 3 line 12's bounded heap, applied once.
+  The buffer holds at most nq × nprobe × k candidates.
 
 Both modes accept a boolean ``mask`` over the indexed rows — the bitmap
 pushdown of §4.2 — and skip distance computations for masked-out rows.
@@ -20,7 +24,7 @@ scored), the deterministic cost metrics reported in EXPERIMENTS.md.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +55,6 @@ class IVFIndex:
     ids: np.ndarray  # (n,) int64, grouped by list
     list_offsets: np.ndarray  # (L+1,) int64 — list l is rows [off[l], off[l+1])
     metric: str
-    row_of_id: dict = field(repr=False, default_factory=dict)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -98,14 +101,12 @@ class IVFIndex:
         vectors = np.ascontiguousarray(np.asarray(vectors)[order], dtype=np.float64)
         counts = np.bincount(labels, minlength=len(centroids))
         offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        row_of_id = {int(i): r for r, i in enumerate(ids)}
         return cls(
             centroids=np.ascontiguousarray(centroids, dtype=np.float64),
             vectors=vectors,
             ids=ids,
             list_offsets=offsets,
             metric=metric,
-            row_of_id=row_of_id,
         )
 
     # ------------------------------------------------------------- properties
@@ -130,12 +131,7 @@ class IVFIndex:
     def mask_for_ids(self, keep_ids) -> np.ndarray:
         """Bitmap over stored rows marking rows whose id is in ``keep_ids``
         (how Strategy B materializes an attribute filter as a bitmap)."""
-        m = np.zeros(self.n_rows, dtype=bool)
-        for i in keep_ids:
-            r = self.row_of_id.get(int(i))
-            if r is not None:
-                m[r] = True
-        return m
+        return np.isin(self.ids, np.asarray(keep_ids, dtype=np.int64))
 
     def nearest_centroids(self, q: np.ndarray, nprobe: int) -> np.ndarray:
         """Indices of the ``nprobe`` nearest centroids per query row.
@@ -207,29 +203,38 @@ class IVFIndex:
         probes: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Algorithm 3: group queries by probed centroid, one matmul per
-        (query-group, posting-list) pair, merge into per-query top-k."""
+        (query-group, posting-list) pair, then one top-k per query over
+        the survivors of all its lists."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         nq = len(queries)
         stats = stats if stats is not None else SearchStats()
         if probes is None:
             probes = self.nearest_centroids(queries, nprobe)  # (nq, nprobe)
+            n_probes = np.full(nq, probes.shape[1], dtype=np.int64)
             flat_lists = probes.ravel()
-            flat_q = np.repeat(np.arange(nq), probes.shape[1])
         else:
+            n_probes = np.array([len(p) for p in probes], dtype=np.int64)
             flat_lists = np.concatenate(
                 [np.asarray(p, dtype=np.int64) for p in probes]
             ) if nq else np.empty(0, np.int64)
-            flat_q = np.concatenate(
-                [np.full(len(p), i, dtype=np.int64) for i, p in enumerate(probes)]
-            ) if nq else np.empty(0, np.int64)
-        out_ids = np.full((nq, k), PAD_ID, dtype=np.int64)
-        out_scores = np.full((nq, k), np.inf)
+        flat_q = np.repeat(np.arange(nq), n_probes)
+        # Position of each probe within its query's probe list: the query's
+        # candidate buffer holds that list's <= k survivors at slot * k.
+        flat_slot = np.arange(len(flat_lists)) - np.repeat(
+            np.cumsum(n_probes) - n_probes, n_probes
+        )
+        width = int(n_probes.max(initial=0)) * k
+        cand_ids = np.full((nq, width), PAD_ID, dtype=np.int64)
+        cand_scores = np.full((nq, width), np.inf)
         # Invert: posting list -> query indices routed to it (GroupBy(Q_f, c)).
         order = np.argsort(flat_lists, kind="stable")
-        flat_lists, flat_q = flat_lists[order], flat_q[order]
+        flat_lists, flat_q, flat_slot = (
+            flat_lists[order], flat_q[order], flat_slot[order]
+        )
         boundaries = np.flatnonzero(np.diff(flat_lists)) + 1
-        for group_q, l in zip(
+        for group_q, group_slot, l in zip(
             np.split(flat_q, boundaries),
+            np.split(flat_slot, boundaries),
             flat_lists[np.concatenate([[0], boundaries])] if len(flat_lists) else [],
         ):
             sl = self.list_slice(int(l))
@@ -244,13 +249,13 @@ class IVFIndex:
             )
             stats.distance_computations += len(group_q) * len(rows)
             tid, tsc = topk_rows(scores, self.ids[rows], k)
-            kk = tid.shape[1]
-            merged_ids = np.concatenate([out_ids[group_q], tid], axis=1)
-            merged_scores = np.concatenate([out_scores[group_q], tsc], axis=1)
-            r = np.arange(len(group_q))[:, None]
-            o = np.argsort(merged_ids, axis=1, kind="stable")
-            merged_ids, merged_scores = merged_ids[r, o], merged_scores[r, o]
-            o = np.argsort(merged_scores, axis=1, kind="stable")
-            out_ids[group_q] = merged_ids[r, o][:, :k]
-            out_scores[group_q] = merged_scores[r, o][:, :k]
+            cols = group_slot[:, None] * k + np.arange(tid.shape[1])
+            cand_ids[group_q[:, None], cols] = tid
+            cand_scores[group_q[:, None], cols] = tsc
+        # Alg. 3 line 12's bounded heap per query, filled once.
+        top_ids, top_scores = topk_rows(cand_scores, cand_ids, k)
+        out_ids = np.full((nq, k), PAD_ID, dtype=np.int64)
+        out_scores = np.full((nq, k), np.inf)
+        out_ids[:, : top_ids.shape[1]] = top_ids
+        out_scores[:, : top_scores.shape[1]] = top_scores
         return out_ids, out_scores

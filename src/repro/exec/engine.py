@@ -99,11 +99,10 @@ class PartitionData:
             global_list_ids=global_ids,
         )
 
-    def index(self) -> IVFIndex:
-        idx = IVFIndex.from_assignment(
-            self.ids, self.vecs, self.labels, self.centroids, metric="l2"
+    def index(self, metric: str) -> IVFIndex:
+        return IVFIndex.from_assignment(
+            self.ids, self.vecs, self.labels, self.centroids, metric=metric
         )
-        return idx
 
 
 def search_partition(
@@ -116,8 +115,7 @@ def search_partition(
     Result rows have ``id >= 0``; one stats row per template (``id == -1``)
     carries the partition's tuples-scanned / distance-computation counters.
     """
-    idx = data.index()
-    idx.metric = params.metric
+    idx = data.index(params.metric)
     # Permutation from attrs/chunk row order to index row order, for masks.
     source_rows = np.argsort(data.labels, kind="stable")
     out_frames = []

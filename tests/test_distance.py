@@ -1,10 +1,11 @@
 """Unit tests for the distance kernels and top-k selection."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import merge_topk, pairwise_scores, topk_rows
+from repro.core.distance import pairwise_scores, topk_rows
+from repro.core.ivf import PAD_ID
 
 
 class TestPairwiseScores:
@@ -97,31 +98,48 @@ class TestTopkRows:
             assert tid[r].tolist() == [i for _, i in ref]
             assert tsc[r].tolist() == [s for s, _ in ref]
 
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 25),
+        st.integers(1, 30),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    @example(nq=1, n=12, k=12, per_row_ids=False, seed=0)  # k = n
+    @example(nq=1, n=5, k=9, per_row_ids=True, seed=1)  # k > n
+    @example(nq=3, n=20, k=4, per_row_ids=True, seed=2)
+    @settings(max_examples=80, deadline=None)
+    def test_boundary_ties_match_sorted_reference(self, nq, n, k, per_row_ids, seed):
+        """Float scores whose k-th value repeats on both sides of the
+        selection boundary, so rows take the two-key fallback sort."""
+        g = np.random.default_rng(seed)
+        scores = g.random((nq, n))
+        kth = np.sort(scores, axis=1)[:, min(k, n) - 1]
+        scores = np.where(g.random((nq, n)) < 0.3, kth[:, None], scores)
+        if per_row_ids:
+            ids = np.stack([g.permutation(n) for _ in range(nq)]).astype(np.int64)
+        else:
+            ids = g.permutation(n).astype(np.int64)
+        tid, tsc = topk_rows(scores, ids, k)
+        assert tid.shape == tsc.shape == (nq, min(k, n))
+        for r in range(nq):
+            row_ids = ids[r] if per_row_ids else ids
+            ref = sorted(zip(scores[r], row_ids))[: min(k, n)]
+            assert tid[r].tolist() == [i for _, i in ref]
+            assert tsc[r].tolist() == [s for s, _ in ref]
 
-class TestMergeTopk:
-    def test_merge_two_partials(self):
-        ids_a = np.array([[1, 3]])
-        sc_a = np.array([[0.1, 0.3]])
-        ids_b = np.array([[2, 4]])
-        sc_b = np.array([[0.2, 0.4]])
-        mid, msc = merge_topk(ids_a, sc_a, ids_b, sc_b, 3)
-        assert mid.tolist() == [[1, 2, 3]]
-        assert msc.tolist() == [[0.1, 0.2, 0.3]]
+    def test_padding_sorts_last(self):
+        # Candidate buffers fill empty slots with (PAD_ID, inf).
+        scores = np.array([[0.5, np.inf, 0.1, np.inf]])
+        ids = np.array([[5, PAD_ID, 6, PAD_ID]])
+        tid, tsc = topk_rows(scores, ids, 3)
+        assert tid.tolist() == [[6, 5, PAD_ID]]
+        assert tsc.tolist() == [[0.1, 0.5, np.inf]]
 
-    def test_merge_with_padding(self):
-        from repro.core.ivf import PAD_ID
-
-        ids_a = np.array([[5, PAD_ID]])
-        sc_a = np.array([[0.5, np.inf]])
-        ids_b = np.array([[6, PAD_ID]])
-        sc_b = np.array([[0.1, np.inf]])
-        mid, msc = merge_topk(ids_a, sc_a, ids_b, sc_b, 2)
-        assert mid.tolist() == [[6, 5]]
-
-    def test_merge_tie_by_id(self):
-        ids_a = np.array([[9]])
-        sc_a = np.array([[1.0]])
-        ids_b = np.array([[4]])
-        sc_b = np.array([[1.0]])
-        mid, _ = merge_topk(ids_a, sc_a, ids_b, sc_b, 2)
-        assert mid.tolist() == [[4, 9]]
+    def test_equal_scores_across_sources_ordered_by_id(self):
+        # Survivors of two posting lists side by side in one row.
+        scores = np.array([[1.0, 0.3, 1.0, 0.2]])
+        ids = np.array([[9, 7, 4, 8]])
+        tid, tsc = topk_rows(scores, ids, 3)
+        assert tid.tolist() == [[8, 7, 4]]
+        assert tsc.tolist() == [[0.2, 0.3, 1.0]]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance import pairwise_scores, topk_rows
-from repro.core.ivf import IVFIndex
+from repro.core.ivf import PAD_ID, IVFIndex
 from repro.core.kmeans import kmeans
 from repro.core.predicates import Cmp, Conjunction, In, NotNull
 from repro.core.qdtree import QueryGroup, construct_balanced_qdtree
@@ -74,6 +74,41 @@ class TestIVFProperties:
         exp, _ = topk_rows(pairwise_scores(q, vecs, "l2"), ids, k)
         kk = exp.shape[1]
         np.testing.assert_array_equal(got[:, :kk], exp)
+
+    @given(
+        st.integers(20, 150),
+        st.integers(2, 5),
+        st.integers(1, 12),
+        st.sampled_from([None, 0.15, 0.0]),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batch_search_equals_search_for_same_probes(
+        self, n, d, k, keep_frac, seed
+    ):
+        """Both scan modes return identical ids and scores for the same
+        explicit (ragged) probes at every nprobe; queries whose probed
+        lists hold fewer than k matching rows, or none, come back padded."""
+        g = np.random.default_rng(seed)
+        ids = g.permutation(n).astype(np.int64)
+        vecs = g.integers(0, 10, (n, d)).astype(float)  # exact scores, ties
+        idx = IVFIndex.build(ids, vecs, metric="l2", seed=0)
+        mask = None if keep_frac is None else g.random(n) < keep_frac
+        q = g.integers(0, 10, (8, d)).astype(float)
+        for nprobe in range(1, idx.n_lists + 1):
+            nearest = idx.nearest_centroids(q, nprobe)
+            probes = [p[: g.integers(0, nprobe + 1)] for p in nearest]
+            a_ids, a_sc = idx.search(q, k, nprobe, mask=mask, probes=probes)
+            b_ids, b_sc = idx.batch_search(q, k, nprobe, mask=mask, probes=probes)
+            np.testing.assert_array_equal(a_ids, b_ids)
+            np.testing.assert_array_equal(a_sc, b_sc)
+            keep = np.ones(n, dtype=bool) if mask is None else mask
+            for qi, p in enumerate(probes):
+                n_match = sum(int(keep[idx.list_slice(l)].sum()) for l in p)
+                real = b_ids[qi] != PAD_ID
+                assert real.sum() == min(k, n_match)
+                assert not real[real.sum():].any()
+                assert np.isinf(b_sc[qi][~real]).all()
 
     @given(st.integers(10, 80), st.integers(1, 12), st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
