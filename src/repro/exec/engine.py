@@ -48,6 +48,19 @@ class ExecParams:
     apply_filter: bool = True  # False => PostFilter's unfiltered vector stage
 
 
+def compact_lists(
+    global_lists: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Renumber the global posting-list ids of a bucket's rows densely.
+
+    Returns ``(labels, local_centroids, global_list_ids)``: local list ``l``
+    is global list ``global_list_ids[l]`` (ascending), with centroid row
+    ``local_centroids[l]``, and ``labels`` holds each row's local list.
+    """
+    present, labels = np.unique(global_lists, return_inverse=True)
+    return labels, centroids[present], present
+
+
 @dataclass
 class PartitionData:
     """One physical index partition, reconstructed from a pandas chunk."""
@@ -80,15 +93,9 @@ class PartitionData:
         vecs = np.stack(chunk["vec"].to_numpy()).astype(np.float64)
         raw = chunk["list_id"].to_numpy(dtype=np.int64)
         if lists_are_global:
-            present = np.unique(raw)
-            local_of_global = {int(g): l for l, g in enumerate(present)}
-            labels = np.array([local_of_global[int(g)] for g in raw])
-            cents = centroids[present]
-            global_ids = present
+            labels, cents, global_ids = compact_lists(raw, centroids)
         else:
-            labels = raw
-            cents = centroids
-            global_ids = None
+            labels, cents, global_ids = raw, centroids, None
         return cls(
             pid=pid,
             ids=ids,
@@ -132,19 +139,17 @@ def search_partition(
         probes = None
         if has_lists:
             assert data.global_list_ids is not None
-            # Vectorized global -> local list translation via a lookup
-            # table (-1 marks lists not stored in this bucket).
-            table = np.full(int(data.global_list_ids.max()) + 1, -1, dtype=np.int64)
-            table[data.global_list_ids] = np.arange(len(data.global_list_ids))
-            rows_lists = [np.asarray(r, dtype=np.int64) for r in grp["lists"]]
-            lens = np.array([len(r) for r in rows_lists])
-            flat = (
-                np.concatenate(rows_lists) if rows_lists else np.empty(0, np.int64)
-            )
-            in_range = flat < len(table)
-            locs = np.where(in_range, table[np.minimum(flat, len(table) - 1)], -1)
-            cuts = np.cumsum(lens)[:-1]
-            probes = [p[p >= 0] for p in np.split(locs, cuts)]
+            # Global -> local list ids in one lookup; lists this bucket does
+            # not store (no rows) are dropped, and scan nothing.
+            routed_lists = grp["lists"].to_numpy()
+            flat = np.concatenate(routed_lists)
+            local = np.searchsorted(data.global_list_ids, flat)
+            stored = data.global_list_ids[
+                np.minimum(local, len(data.global_list_ids) - 1)
+            ] == flat
+            row_end = np.cumsum([len(r) for r in routed_lists])
+            stored_end = np.concatenate([[0], np.cumsum(stored)])[row_end]
+            probes = np.split(local[stored], stored_end[:-1])
         nprobe = params.nprobe_by_tid.get(tid, 1)
         fn = idx.batch_search if params.batch_vectors else idx.search
         res_ids, res_scores = fn(

@@ -112,7 +112,7 @@ def _route_flat(plan: PartitionPlan, workload: Workload, params: ExecParams) -> 
                     "pid": fb[starts],
                     "qpos": fq[starts],
                     "tid": tid,
-                    "lists": [g.tolist() for g in np.split(fl, cuts)],
+                    "lists": np.split(fl, cuts),
                 }
             )
         )

@@ -38,7 +38,7 @@ from repro.core.kmeans import assign, kmeans
 from repro.core.predicates import In
 from repro.core.qdtree import QDTree, QueryGroup, construct_balanced_qdtree, extract_atoms
 from repro.core.types import Dataset, Workload, vec_matrix
-from repro.exec.engine import PartitionData
+from repro.exec.engine import PartitionData, compact_lists
 
 CENTROID_COL = "centroid_id"
 _PART_SEED = 7000  # per-pid IVF training seed base — shared by both paths
@@ -222,12 +222,9 @@ def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, Partit
         if not len(rows):
             continue
         if plan.kind == "flat":
-            raw = plan.list_of_row[rows]
-            present = np.unique(raw)
-            local = {int(g): l for l, g in enumerate(present)}
-            labels = np.array([local[int(g)] for g in raw])
-            centroids = plan.global_centroids[present]
-            global_ids = present
+            labels, centroids, global_ids = compact_lists(
+                plan.list_of_row[rows], plan.global_centroids
+            )
         else:
             centroids, labels = _train_partition(pid, vecs[rows])
             global_ids = None
@@ -252,11 +249,6 @@ class SparkLayout:
     plan: PartitionPlan
     attr_cols: list[str]
     centroids_by_pid: dict = field(default_factory=dict)
-
-    def centroids_for(self, pid: int) -> np.ndarray:
-        if self.plan.lists_are_global:
-            return self.plan.global_centroids
-        return self.centroids_by_pid[pid]
 
     def unpersist(self) -> None:
         self.df.unpersist()

@@ -4,13 +4,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.ivf import SearchStats
+from repro.core.ivf import PAD_ID, SearchStats
 from repro.core.predicates import Cmp, Conjunction, NotNull
 from repro.core.types import Workload
 from repro.exec.engine import (
     ExecParams,
     PartitionData,
     RunResult,
+    compact_lists,
     merge_rows_to_result,
     post_filter,
     search_partition,
@@ -111,6 +112,51 @@ class TestSearchPartition:
                                "tid": pd.Series(dtype=np.int64)})
         rows = search_partition(data, routed, _params(wl))
         assert rows.empty
+
+    def test_routed_global_lists_translated_to_local(self):
+        """Flat-layout routes carry global list ids; each is translated to
+        the bucket's local list, and lists the bucket does not store (no
+        rows) scan nothing."""
+        data = _toy_partition(n=80, n_lists=5)
+        global_lists = data.labels * 2 + 3  # stored: 3, 5, 7, 9, 11
+        all_centroids = np.zeros((13, data.centroids.shape[1]))
+        labels, cents, global_ids = compact_lists(global_lists, all_centroids)
+        data = PartitionData(
+            pid=0, ids=data.ids, vecs=data.vecs, labels=labels,
+            centroids=cents, attrs=data.attrs, global_list_ids=global_ids,
+        )
+        wl = _toy_workload(data)
+        routed = pd.DataFrame(
+            {
+                "qpos": np.arange(wl.nq),
+                "tid": wl.qtemplates,
+                "lists": [
+                    np.array([9, 4, 3]), np.array([12]), np.array([11, 0, 5, 7]),
+                    np.array([], dtype=np.int64), np.array([1, 3, 13, 9]),
+                ],
+            }
+        )
+        local_probes = [[3, 0], [], [4, 1, 2], [], [0, 3]]
+        p = _params(wl, batch_vectors=False)
+        rows = search_partition(data, routed, p)
+        idx = data.index("l2")
+        source_rows = np.argsort(data.labels, kind="stable")
+        for tid in (1, 2):
+            qpos = np.flatnonzero(wl.qtemplates == tid)
+            stats = SearchStats()
+            exp_ids, exp_sc = idx.search(
+                wl.qvecs[qpos], p.k, 1,
+                mask=wl.templates[tid].mask(data.attrs)[source_rows],
+                stats=stats, probes=[local_probes[q] for q in qpos],
+            )
+            got = rows[(rows["tid"] == tid) & (rows["id"] >= 0)]
+            real = exp_ids != PAD_ID
+            np.testing.assert_array_equal(got["qpos"], np.repeat(qpos, real.sum(1)))
+            np.testing.assert_array_equal(got["id"], exp_ids[real])
+            np.testing.assert_array_equal(got["score"], exp_sc[real])
+            st_row = rows[(rows["tid"] == tid) & (rows["id"] < 0)].iloc[0]
+            assert st_row["scanned"] == stats.tuples_scanned
+            assert st_row["dcomp"] == stats.distance_computations
 
     def test_batch_and_per_query_modes_agree(self):
         data = _toy_partition(n=120, n_lists=6)

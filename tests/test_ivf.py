@@ -22,6 +22,11 @@ def index(data):
     return IVFIndex.build(ids, vectors, metric="l2", seed=0)
 
 
+def list_id_of_rows(idx):
+    """Posting-list id of every stored row."""
+    return np.repeat(np.arange(idx.n_lists), np.diff(idx.list_offsets))
+
+
 def brute_force(queries, ids, vectors, metric, k, mask=None):
     if mask is not None:
         ids, vectors = ids[mask], vectors[mask]
@@ -40,7 +45,7 @@ class TestBuild:
         assert index.list_offsets[-1] == index.n_rows
 
     def test_rows_assigned_to_nearest_centroid(self, index):
-        lids = index.list_id_of_rows()
+        lids = list_id_of_rows(index)
         d = pairwise_scores(index.vectors, index.centroids, "l2")
         np.testing.assert_array_equal(lids, np.argmin(d, axis=1))
 
@@ -52,7 +57,7 @@ class TestBuild:
         ids, vectors = data
         full = IVFIndex.build(ids, vectors, metric="l2", seed=0)
         rebuilt = IVFIndex.from_assignment(
-            full.ids, full.vectors, full.list_id_of_rows(), full.centroids,
+            full.ids, full.vectors, list_id_of_rows(full), full.centroids,
             metric="l2",
         )
         np.testing.assert_array_equal(full.ids, rebuilt.ids)
@@ -86,8 +91,7 @@ class TestExactnessAtFullProbe:
         g = np.random.default_rng(2)
         keep = g.random(len(ids)) < 0.3
         # Mask is defined over *index row order*; translate via id lookup.
-        keep_ids = ids[keep]
-        mask = idx.mask_for_ids(keep_ids)
+        mask = np.isin(idx.ids, ids[keep])
         queries = g.standard_normal((9, vectors.shape[1]))
         got_ids, _ = getattr(idx, mode)(queries, 5, nprobe=idx.n_lists, mask=mask)
         exp_ids, _ = brute_force(queries, ids, vectors, "l2", 5, mask=keep)

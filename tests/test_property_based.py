@@ -1,4 +1,6 @@
 """Property-based tests (hypothesis) for the core data structures."""
+from unittest import mock
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance import pairwise_scores, topk_rows
-from repro.core.ivf import PAD_ID, IVFIndex
+from repro.core import ivf
+from repro.core.ivf import PAD_ID, IVFIndex, SearchStats
 from repro.core.kmeans import kmeans
 from repro.core.predicates import Cmp, Conjunction, In, NotNull
 from repro.core.qdtree import QueryGroup, construct_balanced_qdtree
@@ -56,7 +59,97 @@ class TestPredicateSqlMaskAgreement:
         assert got == pdf["_rid"][pred.mask(pdf)].tolist()
 
 
+def per_query_scan(idx, queries, k, probes, mask):
+    """Reference for ``IVFIndex.search``: scans one (query, posting list)
+    pair at a time and selects each query's top-k on its own."""
+    nq = len(queries)
+    stats = SearchStats()
+    out_ids = np.full((nq, k), PAD_ID, dtype=np.int64)
+    out_scores = np.full((nq, k), np.inf)
+    for qi in range(nq):
+        cand_rows = []
+        for l in probes[qi]:
+            sl = idx.list_slice(int(l))
+            stats.tuples_scanned += sl.stop - sl.start
+            rows = np.arange(sl.start, sl.stop)
+            if mask is not None:
+                rows = rows[mask[sl]]
+            if len(rows):
+                cand_rows.append(rows)
+        if not cand_rows:
+            continue
+        rows = np.concatenate(cand_rows)
+        scores = pairwise_scores(queries[qi : qi + 1], idx.vectors[rows], idx.metric)
+        stats.distance_computations += len(rows)
+        tid, tsc = topk_rows(scores, idx.ids[rows], k)
+        out_ids[qi, : tid.shape[1]] = tid[0]
+        out_scores[qi, : tsc.shape[1]] = tsc[0]
+    return out_ids, out_scores, stats
+
+
 class TestIVFProperties:
+    @given(
+        st.integers(1, 120),
+        st.integers(1, 10),
+        st.integers(1, 9),
+        st.integers(1, 15),
+        st.sampled_from([None, "all", "sparse", "none"]),
+        st.sampled_from(["l2", "ip"]),
+        st.booleans(),
+        st.sampled_from([1 << 20, 40, 7, 1]),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_search_equals_per_query_reference(
+        self, n, n_lists, nq, k, mask_kind, metric, explicit, cells, seed
+    ):
+        """``search`` returns the per-(query, list) reference's ids and
+        scores bit for bit and counts the same work: ragged explicit probes
+        (the batch's last queries probing nothing), empty posting lists,
+        all / sparse / no rows passing the mask, k above the candidate
+        count, and candidate buffers split into several chunks."""
+        g = np.random.default_rng(seed)
+        d = 3
+        ids = (g.permutation(n) + 1000).astype(np.int64)
+        if g.random() < 0.5:
+            vecs = g.integers(0, 5, (n, d)).astype(float)  # score ties
+        else:
+            vecs = g.standard_normal((n, d))
+        # Rows go to a subset of the lists; the others stay empty.
+        used = g.choice(n_lists, size=g.integers(1, n_lists + 1), replace=False)
+        idx = IVFIndex.from_assignment(
+            ids, vecs, g.choice(used, n), g.standard_normal((n_lists, d)),
+            metric=metric,
+        )
+        mask = {
+            None: None,
+            "all": np.ones(n, dtype=bool),
+            "sparse": g.random(n) < 0.1,
+            "none": np.zeros(n, dtype=bool),
+        }[mask_kind]
+        q = g.standard_normal((nq, d))
+        nprobe = int(g.integers(1, n_lists + 1))
+        if explicit:
+            n_probing = int(g.integers(0, nq + 1))
+            probes = [
+                g.permutation(n_lists)[: g.integers(1, n_lists + 1)]
+                if qi < n_probing else np.empty(0, dtype=np.int64)
+                for qi in range(nq)
+            ]
+        else:
+            probes = None
+        ref_probes = idx.nearest_centroids(q, nprobe) if probes is None else probes
+        exp_ids, exp_sc, exp_stats = per_query_scan(idx, q, k, ref_probes, mask)
+        stats = SearchStats()
+        with mock.patch.object(ivf, "_TOPK_CELLS", cells):
+            got_ids, got_sc = idx.search(
+                q, k, nprobe, mask=mask, stats=stats, probes=probes
+            )
+        np.testing.assert_array_equal(got_ids, exp_ids)
+        np.testing.assert_array_equal(got_sc, exp_sc)
+        assert stats == exp_stats
+
+
     @given(
         st.integers(20, 120),
         st.integers(2, 6),
