@@ -1,34 +1,29 @@
 """Inverted-file (IVF) vector index with attribute-bitmap pushdown.
 
 This is the clustering-based ANN index the paper builds inside every
-qd-tree partition (§4.1.3) and that all baselines use globally. It
-supports the two scan modes the evaluation compares:
+qd-tree partition (§4.1.3) and that all baselines use globally. Both scan
+modes the evaluation compares read the same candidates — the rows of each
+query's probed lists that pass a boolean ``mask`` over the indexed rows
+(the bitmap pushdown of §4.2), in probe order — and return the same top-k
+per query. One routine, ``_scan``, serves both: it compacts the mask into
+the passing rows once per call, lays out each query's candidates, fills a
+per-query candidate buffer padded with ``PAD_ID`` / ``inf`` and selects
+the top-k once per chunk of queries (a chunk's buffer stays within a fixed
+cell budget, so memory stays bounded at full probe). The modes differ only
+in the score kernel:
 
-- ``search``       — per-query posting-list scans, modeling the online
+- ``search`` — per-query posting-list scans, modeling the online
   FAISS-style traversal used by the PreFilter / PostFilter / Range
-  baselines (queries batched by attribute constraint share the filter
-  bitmap, but each query scans its probed lists individually). Each
-  query's candidates — the kept rows of its probed lists, in probe order
-  — are gathered with one ragged-range index and scored as one block;
-  the blocks go into a per-query candidate buffer padded with
-  ``PAD_ID`` / ``inf``, and the top-k is selected once per call (once
-  per chunk of queries when the buffer would exceed a fixed cell budget);
-- ``batch_search`` — Algorithm 3: queries are grouped by nearest
-  centroid and each (query-group × posting-list) distance block is one
-  matrix multiplication. Each block's per-query top-k survivors go into
-  a per-query candidate buffer (one k-wide slot per probed list, padded
-  with ``PAD_ID`` / ``inf``), and one selection per query over that
-  buffer at the end is Algorithm 3 line 12's bounded heap, applied once.
-  The buffer holds at most nq × nprobe × k candidates.
+  baselines: one score row per query over all its candidates;
+- ``batch_search`` — Algorithm 3: queries are grouped by probed list and
+  each (query-group × posting-list) distance block is one matrix
+  multiplication, scattered into the group's (query, list) segments. The
+  one selection per query is Algorithm 3 line 12's bounded heap.
 
-Both modes accept a boolean ``mask`` over the indexed rows — the bitmap
-pushdown of §4.2 — and read a mask-compacted view of the index: the
-passing rows once per call, plus per-list offsets into them, so masked-out
-rows are never gathered or scored. Both count ``tuples_scanned``
-(posting-list entries visited, i.e., bitmap tests) and
-``distance_computations`` (query-point pairs actually scored), the
-deterministic cost metrics reported in EXPERIMENTS.md, as vectorized sums
-over the probed (query, list) pairs; ``batch_search`` counts a probed
+Both count ``tuples_scanned`` (posting-list entries visited, i.e., bitmap
+tests) and ``distance_computations`` (query-point pairs actually scored),
+the deterministic cost metrics reported in EXPERIMENTS.md, as vectorized
+sums over the probed (query, list) pairs; ``batch_search`` counts a probed
 list's entries once, since its query group shares the scan.
 """
 from __future__ import annotations
@@ -38,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import pairwise_scores, topk_rows
-from .kmeans import assign, kmeans
+from .kmeans import kmeans
 
 PAD_ID = np.int64(2**62)  # sentinel id for padded (empty) top-k slots
-# Candidate-buffer cells per top-k call in ``search``: bounds its memory
-# when nq x (candidates per query) is large, e.g. at full probe.
+# Candidate-buffer cells per top-k call: bounds a scan's memory when
+# nq x (candidates per query) is large, e.g. at full probe.
 _TOPK_CELLS = 1 << 20
 
 
@@ -56,20 +51,6 @@ class SearchStats:
     def add(self, other: "SearchStats") -> None:
         self.tuples_scanned += other.tuples_scanned
         self.distance_computations += other.distance_computations
-
-
-@dataclass
-class _ScanView:
-    """What both scan modes read for one call: the probes as flattened
-    (query, list) pairs in per-query probe order, the rows passing the
-    mask, and the padded output."""
-
-    n_probes: np.ndarray  # (nq,) probes per query
-    lists: np.ndarray  # (pairs,) probed list of each (query, list) pair
-    kept: np.ndarray  # index rows passing the mask, ascending
-    kept_offsets: np.ndarray  # (L+1,) list l keeps kept[off[l]:off[l+1]]
-    out_ids: np.ndarray  # (nq, k) PAD_ID-filled
-    out_scores: np.ndarray  # (nq, k) inf-filled
 
 
 @dataclass
@@ -144,9 +125,6 @@ class IVFIndex:
     def n_rows(self) -> int:
         return len(self.ids)
 
-    def list_slice(self, l: int) -> slice:
-        return slice(int(self.list_offsets[l]), int(self.list_offsets[l + 1]))
-
     def nearest_centroids(self, q: np.ndarray, nprobe: int) -> np.ndarray:
         """Indices of the ``nprobe`` nearest centroids per query row.
 
@@ -160,40 +138,8 @@ class IVFIndex:
         row = np.arange(len(probes))[:, None]
         return probes[row, np.argsort(scores[row, probes], axis=1, kind="stable")]
 
-    # ---------------------------------------------------------------- search
-    def _scan_view(
-        self,
-        queries: np.ndarray,
-        k: int,
-        nprobe: int,
-        mask: np.ndarray | None,
-        probes: list | None,
-    ) -> _ScanView:
-        """Flatten the probes into (query, list) pairs, compact the mask
-        into kept rows, and allocate the padded output — the set-up both
-        scan modes share."""
-        nq = len(queries)
-        if probes is None:
-            probes = self.nearest_centroids(queries, nprobe)  # (nq, nprobe)
-            n_probes = np.full(nq, probes.shape[1], dtype=np.int64)
-            lists = probes.ravel()
-        else:
-            n_probes = np.array([len(p) for p in probes], dtype=np.int64)
-            lists = (
-                np.concatenate(probes).astype(np.int64, copy=False)
-                if nq
-                else np.empty(0, np.int64)
-            )
-        kept = np.arange(self.n_rows) if mask is None else np.flatnonzero(mask)
-        return _ScanView(
-            n_probes=n_probes,
-            lists=lists,
-            kept=kept,
-            kept_offsets=np.searchsorted(kept, self.list_offsets),
-            out_ids=np.full((nq, k), PAD_ID, dtype=np.int64),
-            out_scores=np.full((nq, k), np.inf),
-        )
 
+    # ---------------------------------------------------------------- search
     def search(
         self,
         queries: np.ndarray,
@@ -211,51 +157,7 @@ class IVFIndex:
         computed against the *global* centroid table on the driver and
         this index holds only a shard of the lists.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        nq = len(queries)
-        stats = stats if stats is not None else SearchStats()
-        view = self._scan_view(queries, k, nprobe, mask, probes)
-        # Each (query, list) pair visits the whole list and scores its kept
-        # rows; a query's candidates are its pairs' kept rows, in probe order.
-        stats.tuples_scanned += int(np.diff(self.list_offsets)[view.lists].sum())
-        starts = view.kept_offsets[view.lists]
-        lens = view.kept_offsets[view.lists + 1] - starts
-        pair_off = np.concatenate([[0], np.cumsum(view.n_probes)])
-        cand_off = np.concatenate([[0], np.cumsum(lens)])  # per pair
-        stats.distance_computations += int(cand_off[-1])
-        q_off = cand_off[pair_off]  # query i's candidates: [q_off[i], q_off[i+1])
-        counts = np.diff(q_off)
-        # Queries are scanned and selected in chunks whose padded candidate
-        # buffer stays within _TOPK_CELLS cells.
-        chunk = max(1, _TOPK_CELLS // max(1, int(counts.max(initial=0))))
-        for c0 in range(0, nq, chunk):
-            c1 = min(nq, c0 + chunk)
-            width = int(counts[c0:c1].max())
-            if not width:
-                continue
-            p0, p1 = pair_off[c0], pair_off[c1]
-            rows = view.kept[
-                np.arange(q_off[c0], q_off[c1])
-                - np.repeat(cand_off[p0:p1] - starts[p0:p1], lens[p0:p1])
-            ]
-            bounds = (q_off[c0 : c1 + 1] - q_off[c0]).tolist()
-            scores = np.empty(len(rows))
-            for i in np.flatnonzero(counts[c0:c1]).tolist():
-                a, b = bounds[i], bounds[i + 1]
-                scores[a:b] = pairwise_scores(
-                    queries[c0 + i : c0 + i + 1], self.vectors[rows[a:b]],
-                    self.metric,
-                )[0]
-            buf_q = np.repeat(np.arange(c1 - c0), counts[c0:c1])
-            slot = np.arange(len(rows)) - np.repeat(bounds[:-1], counts[c0:c1])
-            buf_ids = np.full((c1 - c0, width), PAD_ID, dtype=np.int64)
-            buf_scores = np.full((c1 - c0, width), np.inf)
-            buf_ids[buf_q, slot] = self.ids[rows]
-            buf_scores[buf_q, slot] = scores
-            tid, tsc = topk_rows(buf_scores, buf_ids, k)
-            view.out_ids[c0:c1, : tid.shape[1]] = tid
-            view.out_scores[c0:c1, : tsc.shape[1]] = tsc
-        return view.out_ids, view.out_scores
+        return self._scan(queries, k, nprobe, mask, stats, probes, batched=False)
 
     def batch_search(
         self,
@@ -266,51 +168,109 @@ class IVFIndex:
         stats: SearchStats | None = None,
         probes: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Algorithm 3: group queries by probed centroid, one matmul per
-        (query-group, posting-list) pair, then one top-k per query over
-        the survivors of all its lists."""
+        """Algorithm 3: same arguments and output as ``search``, but each
+        probed list is scored once against the group of queries probing it."""
+        return self._scan(queries, k, nprobe, mask, stats, probes, batched=True)
+
+    def _scan(
+        self,
+        queries: np.ndarray,
+        k: int,
+        nprobe: int,
+        mask: np.ndarray | None,
+        stats: SearchStats | None,
+        probes: list | None,
+        batched: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Score every query's candidates and select its top-k.
+
+        A query's candidates are the kept rows of its probed lists, in
+        probe order: the (query, list) pair ``p`` owns candidates
+        ``[cand_off[p], cand_off[p+1])`` and query ``i`` owns
+        ``[q_off[i], q_off[i+1])``. ``batched`` picks the score kernel.
+        """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         nq = len(queries)
         stats = stats if stats is not None else SearchStats()
-        view = self._scan_view(queries, k, nprobe, mask, probes)
-        n_probes, flat_lists = view.n_probes, view.lists
-        kept, kept_offsets = view.kept, view.kept_offsets
-        flat_q = np.repeat(np.arange(nq), n_probes)
-        # Position of each probe within its query's probe list: the query's
-        # candidate buffer holds that list's <= k survivors at slot * k.
-        flat_slot = np.arange(len(flat_lists)) - np.repeat(
-            np.cumsum(n_probes) - n_probes, n_probes
-        )
-        width = int(n_probes.max(initial=0)) * k
-        cand_ids = np.full((nq, width), PAD_ID, dtype=np.int64)
-        cand_scores = np.full((nq, width), np.inf)
-        # Invert: posting list -> query indices routed to it (GroupBy(Q_f, c)).
-        order = np.argsort(flat_lists, kind="stable")
-        flat_lists, flat_q, flat_slot = (
-            flat_lists[order], flat_q[order], flat_slot[order]
-        )
-        boundaries = np.flatnonzero(np.diff(flat_lists)) + 1
-        group_lists = np.unique(flat_lists)
-        # Each probed list is scanned once, shared by its query group.
-        stats.tuples_scanned += int(np.diff(self.list_offsets)[group_lists].sum())
-        stats.distance_computations += int(np.diff(kept_offsets)[flat_lists].sum())
-        for group_q, group_slot, l in zip(
-            np.split(flat_q, boundaries),
-            np.split(flat_slot, boundaries),
-            group_lists.tolist(),
-        ):
-            rows = kept[kept_offsets[l] : kept_offsets[l + 1]]
-            if not len(rows):
-                continue
-            scores = pairwise_scores(
-                queries[group_q], self.vectors[rows], self.metric
+        if probes is None:
+            probes = self.nearest_centroids(queries, nprobe)  # (nq, nprobe)
+            n_probes = np.full(nq, probes.shape[1], dtype=np.int64)
+            lists = probes.ravel()
+        else:
+            n_probes = np.array([len(p) for p in probes], dtype=np.int64)
+            lists = (
+                np.concatenate(probes).astype(np.int64, copy=False)
+                if nq
+                else np.empty(0, np.int64)
             )
-            tid, tsc = topk_rows(scores, self.ids[rows], k)
-            cols = group_slot[:, None] * k + np.arange(tid.shape[1])
-            cand_ids[group_q[:, None], cols] = tid
-            cand_scores[group_q[:, None], cols] = tsc
-        # Alg. 3 line 12's bounded heap per query, filled once.
-        top_ids, top_scores = topk_rows(cand_scores, cand_ids, k)
-        view.out_ids[:, : top_ids.shape[1]] = top_ids
-        view.out_scores[:, : top_scores.shape[1]] = top_scores
-        return view.out_ids, view.out_scores
+        kept = np.arange(self.n_rows) if mask is None else np.flatnonzero(mask)
+        kept_offsets = np.searchsorted(kept, self.list_offsets)
+        # Every probed list's entries are visited (bitmap tests): once per
+        # (query, list) pair, or once per list when its query group shares
+        # the scan.
+        visited = np.unique(lists) if batched else lists
+        stats.tuples_scanned += int(np.diff(self.list_offsets)[visited].sum())
+        starts = kept_offsets[lists]
+        lens = kept_offsets[lists + 1] - starts
+        pair_off = np.concatenate([[0], np.cumsum(n_probes)])
+        cand_off = np.concatenate([[0], np.cumsum(lens)])
+        stats.distance_computations += int(cand_off[-1])
+        q_off = cand_off[pair_off]
+        counts = np.diff(q_off)
+        out_ids = np.full((nq, k), PAD_ID, dtype=np.int64)
+        out_scores = np.full((nq, k), np.inf)
+        # Queries are scored and selected in chunks whose padded candidate
+        # buffer stays within _TOPK_CELLS cells.
+        chunk = max(1, _TOPK_CELLS // max(1, int(counts.max(initial=0))))
+        for c0 in range(0, nq, chunk):
+            c1 = min(nq, c0 + chunk)
+            width = int(counts[c0:c1].max())
+            if not width:
+                continue
+            p0, p1 = pair_off[c0], pair_off[c1]
+            base = q_off[c0]
+            rows = kept[
+                np.arange(base, q_off[c1])
+                - np.repeat(cand_off[p0:p1] - starts[p0:p1], lens[p0:p1])
+            ]
+            # Candidate j of the chunk fills cell[j] of the flattened
+            # buffer: its query's row, at its place in that query's
+            # probe order.
+            cell = np.arange(len(rows)) + np.repeat(
+                np.arange(c1 - c0) * width - (q_off[c0:c1] - base), counts[c0:c1]
+            )
+            buf_ids = np.full((c1 - c0, width), PAD_ID, dtype=np.int64)
+            buf_scores = np.full((c1 - c0, width), np.inf)
+            buf_ids.ravel()[cell] = self.ids[rows]
+            if batched:
+                # One (query-group x posting-list) matmul per distinct list,
+                # scattered into each of its (query, list) segments.
+                pair_q = np.repeat(np.arange(c0, c1), n_probes[c0:c1])
+                order = np.argsort(lists[p0:p1], kind="stable")
+                seg, size = cand_off[p0:p1][order] - base, lens[p0:p1][order]
+                cuts = (np.flatnonzero(np.diff(lists[p0 + order])) + 1).tolist()
+                for a, b in zip([0] + cuts, cuts + [len(order)]):
+                    n = int(size[a])
+                    if not n:
+                        continue
+                    s = int(seg[a])
+                    buf_scores.ravel()[cell[seg[a:b], None] + np.arange(n)] = (
+                        pairwise_scores(
+                            queries[pair_q[order[a:b]]],
+                            self.vectors[rows[s : s + n]],
+                            self.metric,
+                        )
+                    )
+            else:
+                # One score row per query over all its candidates.
+                bounds = (q_off[c0 : c1 + 1] - base).tolist()
+                for i in np.flatnonzero(counts[c0:c1]).tolist():
+                    a, b = bounds[i], bounds[i + 1]
+                    buf_scores[i, : b - a] = pairwise_scores(
+                        queries[c0 + i : c0 + i + 1], self.vectors[rows[a:b]],
+                        self.metric,
+                    )[0]
+            tid, tsc = topk_rows(buf_scores, buf_ids, k)
+            out_ids[c0:c1, : tid.shape[1]] = tid
+            out_scores[c0:c1, : tsc.shape[1]] = tsc
+        return out_ids, out_scores

@@ -1,22 +1,24 @@
 """Shared hybrid-query execution engine (S8/S9 core).
 
-``search_partition`` is the single implementation of per-partition
-hybrid search used by *both* engines:
+Both engines run one pipeline: ``route_queries`` on the driver, then
+``search_partition`` once per routed index partition, then
+``merge_rows_to_result`` on the driver.
 
 - the local reference engine loops over partitions on the driver
   (used for nprobe tuning and as the parity oracle in tests);
-- the Spark engine calls it inside ``cogroup(...).applyInPandas`` tasks,
-  one task per index partition.
+- the Spark engine calls ``search_partition`` inside
+  ``cogroup(...).applyInPandas`` tasks, one task per index partition,
+  and collects their rows to the driver for the same merge.
 
 Both engines therefore produce bit-identical results; tests assert it.
 
-The executor implements the paper's batching (§5, Algorithm 3):
+``search_partition`` implements the paper's batching (§5, Algorithm 3):
 queries are grouped by attribute constraint (template) so each filter is
 evaluated once per (template, partition) — this is the
 attribute-constraint batching all approaches get by default in §6.1 —
-and, when ``batch_vectors`` is on (HQI), additionally grouped by probed
-centroid so each (query-group × posting-list) block is one matmul.
-With ``batch_vectors`` off, posting lists are scanned per query,
+and each group goes through the IVF index's one scan-and-select routine.
+``batch_vectors`` only picks its score kernel: on (HQI), one matmul per
+(query-group × posting-list) block; off, one score row per query,
 modeling the FAISS-style online traversal of the baselines.
 """
 from __future__ import annotations
@@ -33,6 +35,16 @@ from repro.core.predicates import Conjunction
 from repro.core.types import Workload
 
 RESULT_COLUMNS = ["qpos", "tid", "id", "score", "scanned", "dcomp"]
+
+
+def empty_result_frame() -> pd.DataFrame:
+    """A ``RESULT_COLUMNS`` frame with no rows and the columns' dtypes."""
+    return pd.DataFrame(
+        {
+            c: pd.Series(dtype=np.float64 if c == "score" else np.int64)
+            for c in RESULT_COLUMNS
+        }
+    )
 
 
 @dataclass
@@ -180,16 +192,7 @@ def search_partition(
         out_frames.append(rows)
         out_frames.append(stats_row)
     if not out_frames:
-        return pd.DataFrame(
-            {
-                "qpos": pd.Series(dtype=np.int64),
-                "tid": pd.Series(dtype=np.int64),
-                "id": pd.Series(dtype=np.int64),
-                "score": pd.Series(dtype=np.float64),
-                "scanned": pd.Series(dtype=np.int64),
-                "dcomp": pd.Series(dtype=np.int64),
-            }
-        )
+        return empty_result_frame()
     return pd.concat(out_frames, ignore_index=True)
 
 

@@ -15,6 +15,7 @@ from repro.exec.engine import (
     PartitionData,
     RunResult,
     Timer,
+    empty_result_frame,
     merge_rows_to_result,
     search_partition,
 )
@@ -36,11 +37,7 @@ def run_local(
             if part is None:
                 continue
             frames.append(search_partition(part, grp, params))
-        rows = (
-            pd.concat(frames, ignore_index=True)
-            if frames
-            else pd.DataFrame(columns=["qpos", "tid", "id", "score", "scanned", "dcomp"])
-        )
+        rows = pd.concat(frames, ignore_index=True) if frames else empty_result_frame()
         result = merge_rows_to_result(rows, workload, params.k)
     result.wall_seconds = t.seconds
     return result

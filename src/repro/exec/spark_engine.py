@@ -2,9 +2,10 @@
 
 The routed-query table is cogrouped with the layout DataFrame by
 partition id; each ``applyInPandas`` task rebuilds its partition's IVF
-index and runs the shared ``search_partition``. Per-partition top-k rows
-are merged globally with a window (``row_number() <= k`` over
-``(score, id)``) before the driver collects the final, small result.
+index and runs the shared ``search_partition``. The driver collects the
+tasks' rows — at most k per (query, routed partition), plus one counter
+row per (partition, template) — and merges them with
+``merge_rows_to_result``, as the local engine does.
 
 The query-side payload (query vectors, templates, per-template nprobe)
 travels inside the task closure — a few MB at reproduction scale,
@@ -12,19 +13,18 @@ mirroring how the paper keeps the query batch in memory on one node.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession, Window
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 from pyspark.sql import types as T
 
-from repro.core.ivf import SearchStats
 from repro.core.types import Workload
 from repro.exec.engine import (
     ExecParams,
     PartitionData,
     RunResult,
     Timer,
+    empty_result_frame,
+    merge_rows_to_result,
     search_partition,
 )
 from repro.exec.routing import route_queries
@@ -59,71 +59,49 @@ def run_spark(
 ) -> RunResult:
     with Timer() as t:
         routed = route_queries(layout.plan, workload, params)
-        if routed.empty:
-            result = RunResult()
-            for qid in workload.qids:
-                result.ids_by_qid[int(qid)] = np.empty(0, dtype=np.int64)
-                result.scores_by_qid[int(qid)] = np.empty(0)
-            return result
-        routed_df = spark.createDataFrame(routed, schema=_ROUTE_SCHEMA)
-
-        attr_cols = layout.attr_cols
-        lists_are_global = layout.plan.lists_are_global
-        centroids_by_pid = (
-            {-1: layout.plan.global_centroids}
-            if lists_are_global
-            else layout.centroids_by_pid
+        rows = empty_result_frame() if routed.empty else _search_rows(
+            spark, layout, routed, params
         )
-
-        def fn(key, q_pdf: pd.DataFrame, layout_pdf: pd.DataFrame) -> pd.DataFrame:
-            if q_pdf.empty or layout_pdf.empty:
-                return pd.DataFrame(
-                    {f.name: pd.Series(dtype="int64" if f.name != "score" else "float64")
-                     for f in _RESULT_SCHEMA.fields}
-                )
-            pid = int(key[0])
-            cents = (
-                centroids_by_pid[-1] if lists_are_global else centroids_by_pid[pid]
-            )
-            data = PartitionData.from_layout_chunk(
-                pid,
-                layout_pdf,
-                cents,
-                attr_cols,
-                lists_are_global=lists_are_global,
-            )
-            return search_partition(data, q_pdf, params)
-
-        rows_df = (
-            routed_df.groupBy("pid")
-            .cogroup(layout.df.groupBy("pid"))
-            .applyInPandas(fn, schema=_RESULT_SCHEMA)
-        )
-        # Single action: keep per-query top-k rows plus the stats marker
-        # rows (id < 0, all in the qpos = -1 window partition) so the
-        # expensive cogroup search executes exactly once.
-        w = Window.partitionBy("qpos").orderBy(F.col("score").asc(), F.col("id").asc())
-        collected = (
-            rows_df.withColumn("rn", F.row_number().over(w))
-            .filter((F.col("id") < 0) | (F.col("rn") <= params.k))
-            .select("qpos", "tid", "id", "score", "scanned", "dcomp")
-            .toPandas()
-        )
-        result = RunResult()
-        stats = collected[collected["id"] < 0]
-        for tid, grp in stats.groupby("tid"):
-            result.stats_by_tid[int(tid)] = SearchStats(
-                tuples_scanned=int(grp["scanned"].sum()),
-                distance_computations=int(grp["dcomp"].sum()),
-            )
-        top = collected[collected["id"] >= 0][["qpos", "id", "score"]]
-        top = top.sort_values(["qpos", "score", "id"], kind="stable")
-        for qpos, grp in top.groupby("qpos", sort=False):
-            qid = int(workload.qids[int(qpos)])
-            result.ids_by_qid[qid] = grp["id"].to_numpy(dtype=np.int64)
-            result.scores_by_qid[qid] = grp["score"].to_numpy()
-        for qid in workload.qids:
-            result.ids_by_qid.setdefault(int(qid), np.empty(0, dtype=np.int64))
-            result.scores_by_qid.setdefault(int(qid), np.empty(0))
+        result = merge_rows_to_result(rows, workload, params.k)
     result.wall_seconds = t.seconds
     return result
+
+
+def _search_rows(
+    spark: SparkSession,
+    layout: SparkLayout,
+    routed: pd.DataFrame,
+    params: ExecParams,
+) -> pd.DataFrame:
+    """Every partition's ``search_partition`` rows, collected in one action."""
+    routed_df = spark.createDataFrame(routed, schema=_ROUTE_SCHEMA)
+    attr_cols = layout.attr_cols
+    lists_are_global = layout.plan.lists_are_global
+    centroids_by_pid = (
+        {-1: layout.plan.global_centroids}
+        if lists_are_global
+        else layout.centroids_by_pid
+    )
+
+    def fn(key, q_pdf: pd.DataFrame, layout_pdf: pd.DataFrame) -> pd.DataFrame:
+        if q_pdf.empty or layout_pdf.empty:
+            return empty_result_frame()
+        pid = int(key[0])
+        cents = (
+            centroids_by_pid[-1] if lists_are_global else centroids_by_pid[pid]
+        )
+        data = PartitionData.from_layout_chunk(
+            pid,
+            layout_pdf,
+            cents,
+            attr_cols,
+            lists_are_global=lists_are_global,
+        )
+        return search_partition(data, q_pdf, params)
+
+    return (
+        routed_df.groupBy("pid")
+        .cogroup(layout.df.groupBy("pid"))
+        .applyInPandas(fn, schema=_RESULT_SCHEMA)
+        .toPandas()
+    )

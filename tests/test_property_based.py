@@ -69,11 +69,11 @@ def per_query_scan(idx, queries, k, probes, mask):
     for qi in range(nq):
         cand_rows = []
         for l in probes[qi]:
-            sl = idx.list_slice(int(l))
-            stats.tuples_scanned += sl.stop - sl.start
-            rows = np.arange(sl.start, sl.stop)
+            lo, hi = idx.list_offsets[l], idx.list_offsets[l + 1]
+            stats.tuples_scanned += int(hi - lo)
+            rows = np.arange(lo, hi)
             if mask is not None:
-                rows = rows[mask[sl]]
+                rows = rows[mask[lo:hi]]
             if len(rows):
                 cand_rows.append(rows)
         if not cand_rows:
@@ -97,21 +97,28 @@ class TestIVFProperties:
         st.sampled_from(["l2", "ip"]),
         st.booleans(),
         st.sampled_from([1 << 20, 40, 7, 1]),
+        st.booleans(),
         st.integers(0, 10_000),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_search_equals_per_query_reference(
-        self, n, n_lists, nq, k, mask_kind, metric, explicit, cells, seed
+        self, n, n_lists, nq, k, mask_kind, metric, explicit, cells, batched,
+        seed,
     ):
-        """``search`` returns the per-(query, list) reference's ids and
-        scores bit for bit and counts the same work: ragged explicit probes
-        (the batch's last queries probing nothing), empty posting lists,
-        all / sparse / no rows passing the mask, k above the candidate
-        count, and candidate buffers split into several chunks."""
+        """``search`` and ``batch_search`` return the per-(query, list)
+        reference's ids and scores bit for bit: ragged explicit probes (the
+        batch's last queries probing nothing), empty posting lists, all /
+        sparse / no rows passing the mask, k above the candidate count, and
+        candidate buffers split into several chunks. ``search`` counts the
+        reference's work; ``batch_search`` computes the same distances but
+        visits each distinct probed list once. Its matmul blocks sum in
+        another order than one score row per query, so it is compared on
+        integer-valued vectors and queries, whose scores are exact."""
         g = np.random.default_rng(seed)
         d = 3
         ids = (g.permutation(n) + 1000).astype(np.int64)
-        if g.random() < 0.5:
+        integer = batched or g.random() < 0.5
+        if integer:
             vecs = g.integers(0, 5, (n, d)).astype(float)  # score ties
         else:
             vecs = g.standard_normal((n, d))
@@ -127,7 +134,10 @@ class TestIVFProperties:
             "sparse": g.random(n) < 0.1,
             "none": np.zeros(n, dtype=bool),
         }[mask_kind]
-        q = g.standard_normal((nq, d))
+        if batched:
+            q = g.integers(-4, 5, (nq, d)).astype(float)
+        else:
+            q = g.standard_normal((nq, d))
         nprobe = int(g.integers(1, n_lists + 1))
         if explicit:
             n_probing = int(g.integers(0, nq + 1))
@@ -140,9 +150,13 @@ class TestIVFProperties:
             probes = None
         ref_probes = idx.nearest_centroids(q, nprobe) if probes is None else probes
         exp_ids, exp_sc, exp_stats = per_query_scan(idx, q, k, ref_probes, mask)
+        if batched:
+            probed = np.unique(np.concatenate(list(ref_probes)).astype(np.int64))
+            exp_stats.tuples_scanned = int(np.diff(idx.list_offsets)[probed].sum())
+        scan = idx.batch_search if batched else idx.search
         stats = SearchStats()
         with mock.patch.object(ivf, "_TOPK_CELLS", cells):
-            got_ids, got_sc = idx.search(
+            got_ids, got_sc = scan(
                 q, k, nprobe, mask=mask, stats=stats, probes=probes
             )
         np.testing.assert_array_equal(got_ids, exp_ids)
@@ -197,7 +211,10 @@ class TestIVFProperties:
             np.testing.assert_array_equal(a_sc, b_sc)
             keep = np.ones(n, dtype=bool) if mask is None else mask
             for qi, p in enumerate(probes):
-                n_match = sum(int(keep[idx.list_slice(l)].sum()) for l in p)
+                n_match = sum(
+                    int(keep[idx.list_offsets[l] : idx.list_offsets[l + 1]].sum())
+                    for l in p
+                )
                 real = b_ids[qi] != PAD_ID
                 assert real.sum() == min(k, n_match)
                 assert not real[real.sum():].any()

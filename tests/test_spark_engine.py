@@ -57,9 +57,15 @@ class TestToSpark:
     def test_roundtrip_schema_and_nulls(self, spark, kg):
         df = kg.to_spark(spark)
         assert df.count() == kg.n
+        assert {"id", "vec", "etype"}.issubset(df.columns)
         # NaN attrs must be true SQL NULLs.
         n_null = df.filter("height IS NULL").count()
         assert n_null == int(kg.pdf["height"].isna().sum())
+
+    def test_bigann_lite_schema(self, spark, ms):
+        df = ms.to_spark(spark)
+        assert df.count() == ms.n
+        assert {"id", "vec", "A", "B"}.issubset(df.columns)
 
     def test_spark_sql_filter_matches_pandas_mask(self, spark, kg):
         df = kg.to_spark(spark)
@@ -241,19 +247,3 @@ class TestDefinition3Oracle:
             ) <= 5
         """
         assert_equivalent(got_df, sql, q=q_pdf, v=v_pdf)
-
-
-class TestSynthDataWrappers:
-    def test_kg_vectors(self, spark):
-        from repro.synth_data import kg_vectors
-
-        df = kg_vectors(spark, n=200, dim=4, seed=0)
-        assert df.count() == 200
-        assert "etype" in df.columns and "vec" in df.columns
-
-    def test_bigann_vectors(self, spark):
-        from repro.synth_data import bigann_vectors
-
-        df = bigann_vectors(spark, name="sift", n=150, seed=0)
-        assert df.count() == 150
-        assert {"A", "B"}.issubset(set(df.columns))
