@@ -1,10 +1,11 @@
 """End-to-end benchmark runner for Tables 3 and 4 (S14).
 
-For each (dataset, approach): build the index on Spark (timed — Table 4),
-tune per-template nprobe on a query sample with the local mirror of the
-same index (§6.1's "nprobe is tuned for each query template to reach the
-target recall"), then execute the full workload on the distributed
-engine (timed — Table 3) and record recall, tuples scanned, and distance
+For each (dataset, approach): build the index for Spark (timed — Table 4:
+the partitions are trained on the driver, then shipped to Spark once),
+tune per-template nprobe on a query sample with the local engine over the
+same partitions (§6.1's "nprobe is tuned for each query template to reach
+the target recall"), then execute the full workload on both engines
+(timed — Table 3) and record recall, tuples scanned, and distance
 computations.
 
 Approach roster per dataset follows §6.1:
@@ -23,12 +24,7 @@ from pyspark.sql import SparkSession
 from repro.bench.config import Scale
 from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.exec.recall import exhaustive_local, recall_at_k
-from repro.exec.strategies import (
-    RangeNotApplicable,
-    build_index,
-    ensure_local,
-    run_queries,
-)
+from repro.exec.strategies import RangeNotApplicable, build_index, run_queries
 from repro.exec.tuning import sample_workload, tune_nprobe
 from repro.kg.entities import kg_entities
 from repro.kg.workload import lp_workload, relatedqs_workload
@@ -123,7 +119,6 @@ def run_approach(
         return row
     row.build_seconds = built.build_seconds
 
-    ensure_local(built)
     sample = sample_workload(workload, scale.tune_per_template, seed=0)
     fetch_k = (
         _postfilter_fetch_k(dataset, workload, scale.k)

@@ -15,7 +15,7 @@ from pyspark.sql import SparkSession
 
 from repro.bench.config import Scale
 from repro.exec.recall import exhaustive_local, recall_at_k
-from repro.exec.strategies import build_index, ensure_local, run_queries
+from repro.exec.strategies import build_index, run_queries
 from repro.exec.tuning import sample_workload, tune_nprobe
 from repro.kg.entities import kg_entities
 from repro.kg.workload import relatedqs_workload
@@ -47,7 +47,6 @@ def run_robustness(spark: SparkSession, scale: Scale) -> list[RobustnessRow]:
             min_size=scale.min_size,
             n_buckets=scale.n_buckets,
         )
-        ensure_local(built)
         sample = sample_workload(splits[0], scale.tune_per_template, seed=0)
 
         def run_fn(cfg):

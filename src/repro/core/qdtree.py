@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 
 from .predicates import Atom
 
@@ -98,28 +97,6 @@ class QDTree:
                 break
             or_idxs.append(self._atom_index[a])
         return QueryGroup(and_idxs=and_idxs, or_idxs=tuple(or_idxs))
-
-    # ------------------------------------------------------------ assignment
-    def assign_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
-        """Leaf pid per row of a pandas chunk — evaluates each internal
-        node's split atoms directly on the chunk, so it runs unchanged
-        inside ``mapInPandas`` on executors."""
-        out = np.empty(len(pdf), dtype=np.int64)
-        stack = [(self.root, np.arange(len(pdf)))]
-        while stack:
-            node, rows = stack.pop()
-            if not len(rows):
-                continue
-            if isinstance(node, Leaf):
-                out[rows] = node.pid
-                continue
-            sub = pdf.iloc[rows]
-            m = np.zeros(len(rows), dtype=bool)
-            for a in node.split_atoms:
-                m |= a.mask(sub)
-            stack.append((node.left, rows[m]))
-            stack.append((node.right, rows[~m]))
-        return out
 
     @property
     def n_leaves(self) -> int:

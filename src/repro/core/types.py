@@ -74,16 +74,19 @@ class Dataset:
                 fields.append(T.StructField(c, T.DoubleType(), True))
         return T.StructType(fields)
 
-    def to_spark(self, spark: SparkSession) -> DataFrame:
-        cols = ["id", "vec", *self.attr_cols]
-        out = self.pdf[cols].copy()
+    def spark_pdf(self) -> pd.DataFrame:
+        """The ``spark_schema`` columns as the pandas frame Spark is fed."""
+        out = self.pdf[["id", "vec", *self.attr_cols]].copy()
         for c in self.attr_cols:
             # NaN marks missing attributes in the canonical pandas frame;
             # nullable Float64 makes Arrow emit true SQL NULLs so Spark's
             # IS NOT NULL agrees with pandas notna().
             if np.issubdtype(out[c].dtype, np.floating):
                 out[c] = out[c].astype("Float64")
-        return spark.createDataFrame(out, schema=self.spark_schema())
+        return out
+
+    def to_spark(self, spark: SparkSession) -> DataFrame:
+        return spark.createDataFrame(self.spark_pdf(), schema=self.spark_schema())
 
 
 @dataclass

@@ -32,7 +32,7 @@ import pandas as pd
 from repro.core.distance import pairwise_scores
 from repro.core.ivf import PAD_ID, IVFIndex, SearchStats
 from repro.core.predicates import Conjunction
-from repro.core.types import Workload
+from repro.core.types import Workload, vec_matrix
 
 RESULT_COLUMNS = ["qpos", "tid", "id", "score", "scanned", "dcomp"]
 
@@ -102,7 +102,7 @@ class PartitionData:
         holds only the lists assigned to this bucket.
         """
         ids = chunk["id"].to_numpy(dtype=np.int64)
-        vecs = np.stack(chunk["vec"].to_numpy()).astype(np.float64)
+        vecs = vec_matrix(chunk["vec"])
         raw = chunk["list_id"].to_numpy(dtype=np.int64)
         if lists_are_global:
             labels, cents, global_ids = compact_lists(raw, centroids)

@@ -1,8 +1,9 @@
 """Distributed batch executor (S8): Algorithm 3 over DataFrame partitions.
 
-The routed-query table is cogrouped with the layout DataFrame by
-partition id; each ``applyInPandas`` task rebuilds its partition's IVF
-index and runs the shared ``search_partition``. The driver collects the
+The routed-query table is cogrouped by partition id with the layout
+DataFrame, filtered to the routed partitions so unrouted ones are never
+read; each ``applyInPandas`` task rebuilds its partition's IVF index and
+runs the shared ``search_partition``. The driver collects the
 tasks' rows — at most k per (query, routed partition), plus one counter
 row per (partition, template) — and merges them with
 ``merge_rows_to_result``, as the local engine does.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.types import Workload
@@ -75,6 +77,7 @@ def _search_rows(
 ) -> pd.DataFrame:
     """Every partition's ``search_partition`` rows, collected in one action."""
     routed_df = spark.createDataFrame(routed, schema=_ROUTE_SCHEMA)
+    layout_df = layout.df.filter(F.col("pid").isin(routed["pid"].unique().tolist()))
     attr_cols = layout.attr_cols
     lists_are_global = layout.plan.lists_are_global
     centroids_by_pid = (
@@ -101,7 +104,7 @@ def _search_rows(
 
     return (
         routed_df.groupBy("pid")
-        .cogroup(layout.df.groupBy("pid"))
+        .cogroup(layout_df.groupBy("pid"))
         .applyInPandas(fn, schema=_RESULT_SCHEMA)
         .toPandas()
     )

@@ -52,9 +52,9 @@ class BuiltIndex:
     approach: str
     dataset: Dataset
     plan: PartitionPlan
-    parts: dict | None = None  # local materialization
-    layout: SparkLayout | None = None  # Spark materialization
-    build_seconds: float = 0.0  # of the engine actually materialized
+    parts: dict  # pid -> PartitionData, built on the driver
+    layout: SparkLayout | None = None  # the partitions shipped to Spark
+    build_seconds: float = 0.0
 
 
 def _check_range_applicable(workload: Workload, attr: str) -> None:
@@ -83,9 +83,12 @@ def build_index(
     range_parts: int = 16,
     seed: int = 0,
 ) -> BuiltIndex:
-    """Plan + materialize one approach's index; build time includes both."""
+    """Plan + materialize one approach's index; build time includes both,
+    and for ``engine="spark"`` also shipping the partitions to Spark."""
     if approach not in APPROACHES:
         raise ValueError(f"unknown approach {approach!r}")
+    if engine not in ("local", "spark"):
+        raise ValueError(f"unknown engine {engine!r}")
     with Timer() as t:
         if approach == "hqi" and workload is not None:
             plan = plan_hqi(
@@ -97,22 +100,10 @@ def build_index(
             plan = plan_range(dataset, attr=range_attr, n_parts=range_parts)
         else:  # prefilter / postfilter / hqi-without-history (LP)
             plan = plan_flat(dataset, n_buckets=n_buckets, seed=seed)
-        built = BuiltIndex(approach=approach, dataset=dataset, plan=plan)
-        if engine == "local":
-            built.parts = materialize_local(dataset, plan)
-        elif engine == "spark":
-            built.layout = materialize_spark(spark, dataset, plan)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
+        built = BuiltIndex(approach, dataset, plan, materialize_local(dataset, plan))
+        if engine == "spark":
+            built.layout = materialize_spark(spark, dataset, plan, built.parts)
     built.build_seconds = t.seconds
-    return built
-
-
-def ensure_local(built: BuiltIndex) -> BuiltIndex:
-    """Materialize the local mirror of a Spark-built index (same plan,
-    same seeds => identical partitions) — used for cheap tuning."""
-    if built.parts is None:
-        built.parts = materialize_local(built.dataset, built.plan)
     return built
 
 

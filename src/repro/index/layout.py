@@ -1,18 +1,14 @@
 """Index layout planning and materialization (S6).
 
 Every approach's physical layout is planned on the driver (deterministic
-numpy — the qd-tree recursion, range bucketing, or global IVF training)
-and then *materialized* either:
-
-- locally (``materialize_local``) into ``PartitionData`` objects for the
-  reference engine, or
-- distributed (``materialize_spark``) into a cached Spark DataFrame
-  ``(pid, list_id, id, vec, attrs…)`` repartitioned by ``pid`` — the
-  "vector index layout partitioned across DataFrame partitions". The
-  pid assignment runs in ``mapInPandas`` (broadcast tree / bounds /
-  centroids) and per-partition IVF training runs in
-  ``groupBy(pid).applyInPandas`` with a pid-keyed seed, so the Spark
-  layout is bit-identical to the local one (asserted in tests).
+numpy — the qd-tree recursion, range bucketing, or global IVF training),
+which fixes each row's partition id (``pid``). ``materialize_local`` then
+trains each partition's IVF on the driver and returns ``PartitionData``
+objects; this is the only build of the index. For the Spark engine,
+``materialize_spark`` ships those partitions as a cached DataFrame
+``(pid, list_id, id, vec, attrs…)`` repartitioned by ``pid`` — the
+"vector index layout partitioned across DataFrame partitions" — and
+keeps each partition's centroids on the driver for routing.
 
 Layout kinds:
 
@@ -29,19 +25,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.kmeans import assign, kmeans
+from repro.core.kmeans import kmeans
 from repro.core.predicates import In
 from repro.core.qdtree import QDTree, QueryGroup, construct_balanced_qdtree, extract_atoms
-from repro.core.types import Dataset, Workload, vec_matrix
+from repro.core.types import Dataset, Workload
 from repro.exec.engine import PartitionData, compact_lists
 
 CENTROID_COL = "centroid_id"
-_PART_SEED = 7000  # per-pid IVF training seed base — shared by both paths
+_PART_SEED = 7000  # partition pid trains its IVF with seed _PART_SEED + pid
 
 
 @dataclass
@@ -180,39 +174,16 @@ def plan_flat(
     )
 
 
-# ------------------------------------------------------- shared training step
+# ------------------------------------------------------------- local builder
 def _train_partition(pid: int, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-partition IVF (√|Pi| lists) with a pid-keyed seed, so the local
-    and Spark materializations build identical indexes."""
+    """Per-partition IVF (√|Pi| lists) with a pid-keyed seed, so a
+    partition's index does not depend on which other partitions exist."""
     n_lists = max(1, int(math.isqrt(len(vecs))))
     return kmeans(vecs, n_lists, seed=_PART_SEED + pid)
 
 
-def _assign_pid_chunk(chunk: pd.DataFrame, plan: PartitionPlan) -> np.ndarray:
-    """pid per row of a pandas chunk — the mapInPandas assigner. Must make
-    exactly the decisions recorded in ``plan.pid_of_row``."""
-    if plan.kind == "hqi":
-        eval_chunk = chunk
-        if plan.m > 0:
-            labels = assign(vec_matrix(chunk["vec"]), plan.routing_centroids)
-            eval_chunk = chunk.assign(**{CENTROID_COL: labels})
-        return plan.tree.assign_pandas(eval_chunk)
-    if plan.kind == "range":
-        vals = chunk[plan.range_attr].to_numpy(dtype=np.float64)
-        return np.searchsorted(plan.range_edges, vals, side="right").astype(np.int64)
-    if plan.kind == "flat":
-        labels = assign(vec_matrix(chunk["vec"]), plan.global_centroids)
-        return (labels % plan.n_buckets).astype(np.int64)
-    raise ValueError(plan.kind)
-
-
-def _global_lists_chunk(chunk: pd.DataFrame, plan: PartitionPlan) -> np.ndarray:
-    return assign(vec_matrix(chunk["vec"]), plan.global_centroids).astype(np.int64)
-
-
-# ------------------------------------------------------------- local builder
 def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, PartitionData]:
-    """Reference materialization: dict pid -> PartitionData."""
+    """Build every partition's index on the driver: dict pid -> PartitionData."""
     pdf = dataset.pdf
     vecs = dataset.vecs()
     ids = dataset.ids()
@@ -263,73 +234,31 @@ def _layout_schema(dataset: Dataset) -> T.StructType:
 
 
 def materialize_spark(
-    spark: SparkSession, dataset: Dataset, plan: PartitionPlan
+    spark: SparkSession,
+    dataset: Dataset,
+    plan: PartitionPlan,
+    parts: dict[int, PartitionData],
 ) -> SparkLayout:
-    """Distributed materialization. pid assignment via mapInPandas; for
-    hqi/range, per-pid IVF training via applyInPandas which emits the
-    trained centroids as marker rows (id < 0) split out afterwards."""
-    base = dataset.to_spark(spark)
-    schema = _layout_schema(dataset)
-    attr_cols = dataset.attr_cols
-
-    def with_pid(it):
-        for chunk in it:
-            pid = _assign_pid_chunk(chunk, plan)
-            out = chunk.copy()
-            out.insert(0, "pid", pid)
-            if plan.kind == "flat":
-                out.insert(1, "list_id", _global_lists_chunk(chunk, plan))
-            else:
-                out.insert(1, "list_id", np.int64(-1))
-            yield out
-
-    assigned = base.mapInPandas(with_pid, schema=schema)
-
-    if plan.kind == "flat":
-        layout = assigned.repartition("pid").cache()
-        layout.count()  # force build
-        return SparkLayout(df=layout, plan=plan, attr_cols=attr_cols)
-
-    def train(chunk: pd.DataFrame) -> pd.DataFrame:
-        pid = int(chunk["pid"].iloc[0])
-        vecs = vec_matrix(chunk["vec"])
-        centroids, labels = _train_partition(pid, vecs)
-        out = chunk.copy()
-        out["list_id"] = labels.astype(np.int64)
-        marker = pd.DataFrame(
-            {
-                "pid": pid,
-                "list_id": np.arange(len(centroids), dtype=np.int64),
-                "id": np.int64(-1),
-                "vec": list(centroids),
-            }
-        )
-        for c in attr_cols:
-            marker[c] = None
-        import warnings
-
-        with warnings.catch_warnings():
-            # The marker rows' attr columns are intentionally all-NA;
-            # pandas' concat-dtype FutureWarning does not apply (the data
-            # rows fix every column's dtype).
-            warnings.simplefilter("ignore", FutureWarning)
-            return pd.concat([out, marker[out.columns]], ignore_index=True)
-
-    trained = assigned.groupBy("pid").applyInPandas(train, schema=schema)
-    trained = trained.repartition("pid").cache()
-    centroid_rows = trained.filter(F.col("id") < 0).select(
-        "pid", "list_id", "vec"
-    ).toPandas()
-    centroids_by_pid = {
-        int(pid): np.stack(
-            grp.sort_values("list_id")["vec"].to_numpy()
-        ).astype(np.float64)
-        for pid, grp in centroid_rows.groupby("pid")
-    }
-    layout = trained.filter(F.col("id") >= 0)
+    """Ship the partitions ``materialize_local`` built to Spark as one
+    cached layout DataFrame. ``list_id`` is the row's posting list in its
+    partition's IVF, or in the global IVF for a flat layout."""
+    if plan.lists_are_global:
+        list_id = plan.list_of_row
+        centroids_by_pid = {}
+    else:
+        list_id = np.empty(dataset.n, dtype=np.int64)
+        for pid, part in parts.items():
+            list_id[plan.pid_of_row == pid] = part.labels
+        centroids_by_pid = {pid: part.centroids for pid, part in parts.items()}
+    frame = dataset.spark_pdf()
+    frame.insert(0, "pid", plan.pid_of_row)
+    frame.insert(1, "list_id", list_id)
+    layout = spark.createDataFrame(frame, schema=_layout_schema(dataset))
+    layout = layout.repartition("pid").cache()
+    layout.count()  # ship now, inside the build time
     return SparkLayout(
         df=layout,
         plan=plan,
-        attr_cols=attr_cols,
+        attr_cols=dataset.attr_cols,
         centroids_by_pid=centroids_by_pid,
     )

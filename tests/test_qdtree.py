@@ -164,36 +164,6 @@ class TestRouting:
         assert g.or_idxs == ()
 
 
-class TestAssignPandas:
-    def test_assignment_matches_training_rows(self, toy):
-        pdf, templates, atoms = toy
-        m = _matrix(pdf, atoms)
-        groups = [
-            QueryGroup(and_idxs=(0,), or_idxs=(2,)),
-            QueryGroup(and_idxs=(1,), or_idxs=(3,)),
-        ]
-        tree = construct_balanced_qdtree(m, atoms, groups, min_size=1)
-        pids = tree.assign_pandas(pdf)
-        for lf in tree.leaves:
-            np.testing.assert_array_equal(pids[lf.row_idx], lf.pid)
-
-    def test_assignment_on_chunks_consistent(self, toy):
-        """Chunked assignment (as mapInPandas would do) must agree with
-        whole-frame assignment."""
-        pdf, templates, atoms = toy
-        m = _matrix(pdf, atoms)
-        groups = [QueryGroup(and_idxs=(0,)), QueryGroup(and_idxs=(1,))]
-        tree = construct_balanced_qdtree(m, atoms, groups, min_size=1)
-        whole = tree.assign_pandas(pdf)
-        parts = np.concatenate(
-            [
-                tree.assign_pandas(pdf.iloc[:3].reset_index(drop=True)),
-                tree.assign_pandas(pdf.iloc[3:].reset_index(drop=True)),
-            ]
-        )
-        np.testing.assert_array_equal(whole, parts)
-
-
 class TestCostBehaviour:
     def test_pruning_beats_random_partitioning(self):
         """The qd-tree layout must need fewer (partition, query) accesses

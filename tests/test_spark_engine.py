@@ -7,6 +7,7 @@ import pytest
 
 from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.core.predicates import Cmp, Conjunction, In, NotNull
+from repro.core.types import Workload
 from repro.exec.recall import exhaustive_local, exhaustive_spark, recall_at_k
 from repro.exec.strategies import build_index, run_queries
 from repro.index.layout import materialize_local, materialize_spark, plan_flat, plan_hqi
@@ -82,15 +83,15 @@ class TestToSpark:
 class TestLayoutParity:
     @pytest.mark.parametrize("kind", ["hqi", "flat"])
     def test_spark_layout_matches_local(self, spark, kg, kg_load, kind):
-        """Same plan + pid-keyed seeds => the distributed build must put
-        every tuple in the same partition and posting list as the local
-        build, with identical centroids."""
+        """The shipped layout must put every tuple in the same partition
+        and posting list as the driver-built partitions, with identical
+        centroids."""
         if kind == "hqi":
             plan = plan_hqi(kg, kg_load, min_size=256)
         else:
             plan = plan_flat(kg, n_buckets=4)
         local = materialize_local(kg, plan)
-        layout = materialize_spark(spark, kg, plan)
+        layout = materialize_spark(spark, kg, plan, local)
         rows = layout.df.select("pid", "list_id", "id").toPandas()
         by_pid = {int(p): g for p, g in rows.groupby("pid")}
         assert set(by_pid) == set(local)
@@ -126,6 +127,13 @@ class TestExecutionParity:
         wl = kg_load if approach == "hqi" else None
         local = build_index(approach, kg, wl, engine="local", min_size=256)
         dist = build_index(approach, kg, wl, engine="spark", spark=spark, min_size=256)
+        # A Spark build carries the driver-built partitions too.
+        assert dist.parts.keys() == local.parts.keys()
+        for pid, part in local.parts.items():
+            for field in ("ids", "labels", "centroids"):
+                np.testing.assert_array_equal(
+                    getattr(dist.parts[pid], field), getattr(part, field)
+                )
         cfg = _nprobe_all(kg_load, 4)
         a = run_queries(local, kg_load, k=K, nprobe_by_tid=cfg, engine="local")
         b = run_queries(
@@ -169,6 +177,62 @@ class TestExecutionParity:
         _assert_results_equal(res, gt, kg_load)
 
 
+class TestUnseenTemplatesAndDrift:
+    """An HQI index trained on split t0 must stay exact at full probe
+    (m = 0) on templates the qd-tree never saw and on the later splits:
+    routing drops atoms outside the cut set, so it keeps every partition
+    a matching tuple may sit in."""
+
+    UNSEEN = {
+        101: Conjunction([Cmp("etype", "=", "person")]),  # subset of T4
+        102: Conjunction([Cmp("etype", "=", "team"), NotNull("nobel")]),  # T2 x T1
+        103: Conjunction([In("etype", ["song", "person"])]),
+        104: Conjunction([NotNull("height")]),  # NULL for ~99% of tuples
+        105: Conjunction([]),
+        106: Conjunction([Cmp("etype", "=", "no-such-type")]),
+    }
+    NO_MATCH = (102, 106)
+
+    def test_local_spark_exhaustive_agree(self, spark, kg):
+        splits = relatedqs_workload(kg, n_queries_per_split=120, seed=0)
+        templates = {**splits[0].templates, **self.UNSEEN}
+        for tid in self.NO_MATCH:
+            assert not templates[tid].mask(kg.pdf).any()
+        built = build_index(
+            "hqi", kg, splits[0], engine="spark", spark=spark, min_size=256
+        )
+        g = np.random.default_rng(3)
+        unseen_tids = np.repeat(list(self.UNSEEN), 5)
+        later = splits[1:]
+        wl = Workload(
+            templates=templates,
+            qids=np.concatenate(
+                [w.qids for w in later]
+                + [10**6 + np.arange(len(unseen_tids), dtype=np.int64)]
+            ),
+            qvecs=np.concatenate(
+                [w.qvecs for w in later]
+                + [kg.vecs()[g.choice(kg.n, len(unseen_tids))]]
+            ),
+            qtemplates=np.concatenate(
+                [w.qtemplates for w in later] + [unseen_tids]
+            ),
+        )
+        cfg = _nprobe_all(wl, FULL)
+        a = run_queries(built, wl, k=K, nprobe_by_tid=cfg, engine="local")
+        b = run_queries(
+            built, wl, k=K, nprobe_by_tid=cfg, engine="spark", spark=spark
+        )
+        gt = exhaustive_local(kg, wl, K)
+        _assert_results_equal(a, gt, wl)
+        _assert_results_equal(b, a, wl)
+        assert a.stats_by_tid == b.stats_by_tid
+        for tid in self.NO_MATCH:
+            for qid in wl.qids[wl.qtemplates == tid]:
+                assert len(a.ids_by_qid[int(qid)]) == 0
+        built.layout.unpersist()
+
+
 class TestExhaustiveSpark:
     def test_matches_local(self, spark, kg, kg_load):
         a = exhaustive_local(kg, kg_load, K)
@@ -203,7 +267,6 @@ class TestDefinition3Oracle:
     def test_exhaustive_spark_matches_duckdb(self, spark):
         ds = _int_vec_dataset()
         g = np.random.default_rng(1)
-        from repro.core.types import Workload
 
         templates = {
             1: Conjunction([Cmp("etype", "=", "song")]),
