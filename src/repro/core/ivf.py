@@ -5,7 +5,10 @@ qd-tree partition (§4.1.3) and that all baselines use globally. Both scan
 modes the evaluation compares read the same candidates — the rows of each
 query's probed lists that pass a boolean ``mask`` over the indexed rows
 (the bitmap pushdown of §4.2), in probe order — and return the same top-k
-per query. One routine, ``_scan``, serves both: it compacts the mask into
+per query. Probes arrive as flat arrays ``(lists, n_probes)`` — each
+query's list ids in probe order, concatenated in query order, and each
+query's count — or are the ``nprobe`` nearest centroids when omitted.
+One routine, ``_scan``, serves both: it compacts the mask into
 the passing rows once per call, lays out each query's candidates, fills a
 per-query candidate buffer padded with ``PAD_ID`` / ``inf`` and selects
 the top-k once per chunk of queries (a chunk's buffer stays within a fixed
@@ -147,15 +150,17 @@ class IVFIndex:
         nprobe: int,
         mask: np.ndarray | None = None,
         stats: SearchStats | None = None,
-        probes: list | None = None,
+        probes: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-query scan (baseline mode). Returns padded ``(ids, scores)``
         arrays of shape ``(nq, k)``; empty slots hold ``PAD_ID`` / ``inf``.
 
-        ``probes`` optionally overrides probe selection with an explicit
-        per-query list of local list indices — used when probes were
-        computed against the *global* centroid table on the driver and
-        this index holds only a shard of the lists.
+        ``probes`` optionally overrides probe selection with explicit
+        local list indices as flat arrays ``(lists, n_probes)``: query
+        ``i`` probes the next ``n_probes[i]`` entries of ``lists``, in
+        order (a count may be 0). It is used when probes were computed
+        against the *global* centroid table on the driver and this index
+        holds only a shard of the lists.
         """
         return self._scan(queries, k, nprobe, mask, stats, probes, batched=False)
 
@@ -166,7 +171,7 @@ class IVFIndex:
         nprobe: int,
         mask: np.ndarray | None = None,
         stats: SearchStats | None = None,
-        probes: list | None = None,
+        probes: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Algorithm 3: same arguments and output as ``search``, but each
         probed list is scored once against the group of queries probing it."""
@@ -179,7 +184,7 @@ class IVFIndex:
         nprobe: int,
         mask: np.ndarray | None,
         stats: SearchStats | None,
-        probes: list | None,
+        probes: tuple[np.ndarray, np.ndarray] | None,
         batched: bool,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Score every query's candidates and select its top-k.
@@ -193,16 +198,11 @@ class IVFIndex:
         nq = len(queries)
         stats = stats if stats is not None else SearchStats()
         if probes is None:
-            probes = self.nearest_centroids(queries, nprobe)  # (nq, nprobe)
-            n_probes = np.full(nq, probes.shape[1], dtype=np.int64)
-            lists = probes.ravel()
-        else:
-            n_probes = np.array([len(p) for p in probes], dtype=np.int64)
-            lists = (
-                np.concatenate(probes).astype(np.int64, copy=False)
-                if nq
-                else np.empty(0, np.int64)
-            )
+            nearest = self.nearest_centroids(queries, nprobe)  # (nq, nprobe)
+            probes = nearest.ravel(), np.full(nq, nearest.shape[1])
+        lists, n_probes = (np.asarray(a, dtype=np.int64) for a in probes)
+        if len(n_probes) != nq or n_probes.sum() != len(lists):
+            raise ValueError("probes must be (lists, n_probes), one count per query")
         kept = np.arange(self.n_rows) if mask is None else np.flatnonzero(mask)
         kept_offsets = np.searchsorted(kept, self.list_offsets)
         # Every probed list's entries are visited (bitmap tests): once per

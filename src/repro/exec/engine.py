@@ -20,6 +20,12 @@ and each group goes through the IVF index's one scan-and-select routine.
 ``batch_vectors`` only picks its score kernel: on (HQI), one matmul per
 (query-group × posting-list) block; off, one score row per query,
 modeling the FAISS-style online traversal of the baselines.
+
+Data passes between the steps as flat arrays: a template's routed lists
+reach the scan as ``(lists, n_probes)``, each ``search_partition`` call
+returns one frame built from column arrays, and the merge slices each
+query's top-k out of the sorted rows. A template missing from
+``nprobe_by_tid`` raises ``KeyError``.
 """
 from __future__ import annotations
 
@@ -58,6 +64,15 @@ class ExecParams:
     qvecs: np.ndarray
     batch_vectors: bool = True
     apply_filter: bool = True  # False => PostFilter's unfiltered vector stage
+
+    def nprobe(self, tid: int) -> int:
+        """Template ``tid``'s nprobe. A template the configuration does not
+        cover (e.g., one the tuning sample never saw) raises ``KeyError``
+        instead of silently probing one list."""
+        try:
+            return self.nprobe_by_tid[tid]
+        except KeyError:
+            raise KeyError(f"nprobe_by_tid has no entry for template {tid}") from None
 
 
 def compact_lists(
@@ -131,69 +146,83 @@ def search_partition(
 ) -> pd.DataFrame:
     """Run all queries routed to one partition; returns RESULT_COLUMNS rows.
 
-    Result rows have ``id >= 0``; one stats row per template (``id == -1``)
-    carries the partition's tuples-scanned / distance-computation counters.
+    Queries are grouped by template (ascending ``tid``, routed order
+    within a template). Each template contributes its result rows
+    (``id >= 0``, by query, then rank) followed by one stats row
+    (``id == -1``) carrying the partition's tuples-scanned /
+    distance-computation counters. Routed ``lists`` hold global list ids;
+    they reach the scan as flat ``(lists, n_probes)`` arrays.
     """
     idx = data.index(params.metric)
     # Permutation from attrs/chunk row order to index row order, for masks.
     source_rows = np.argsort(data.labels, kind="stable")
-    out_frames = []
-    has_lists = "lists" in routed.columns and routed["lists"].notna().any()
-    for tid, grp in routed.groupby("tid", sort=True):
-        tid = int(tid)
+    # Routed rows by template; template j owns rows [bounds[j], bounds[j+1]).
+    tids = routed["tid"].to_numpy(dtype=np.int64)
+    order = np.argsort(tids, kind="stable")
+    tids, qpos_all = tids[order], routed["qpos"].to_numpy(dtype=np.int64)[order]
+    uniq, starts = np.unique(tids, return_index=True)
+    bounds = np.append(starts, len(tids)).tolist()
+    lists = None
+    if "lists" in routed.columns and routed["lists"].notna().any():
+        assert data.global_list_ids is not None
+        # Global -> local list ids in one lookup; lists this bucket does
+        # not store (no rows) are dropped, and scan nothing. Row r probes
+        # lists[probe_off[r]:probe_off[r + 1]].
+        routed_lists = routed["lists"].to_numpy()[order]
+        flat = np.concatenate(routed_lists)
+        local = np.searchsorted(data.global_list_ids, flat)
+        stored = data.global_list_ids[
+            np.minimum(local, len(data.global_list_ids) - 1)
+        ] == flat
+        row_end = np.cumsum(
+            np.fromiter(map(len, routed_lists), np.int64, len(routed_lists))
+        )
+        probe_off = np.concatenate([[0], np.cumsum(stored)])[
+            np.concatenate([[0], row_end])
+        ]
+        lists = local[stored]
+    # Columns of the output frame, one block per template.
+    qpos_out, id_out, score_out, n_out = [], [], [], []
+    counters = []
+    for tid, a, b in zip(uniq.tolist(), bounds[:-1], bounds[1:]):
         template = params.templates[tid]
         stats = SearchStats()
         mask = None
         if params.apply_filter and len(template):
             mask = template.mask(data.attrs)[source_rows]
-        qpos = grp["qpos"].to_numpy(dtype=np.int64)
-        qv = params.qvecs[qpos]
+        qpos = qpos_all[a:b]
         probes = None
-        if has_lists:
-            assert data.global_list_ids is not None
-            # Global -> local list ids in one lookup; lists this bucket does
-            # not store (no rows) are dropped, and scan nothing.
-            routed_lists = grp["lists"].to_numpy()
-            flat = np.concatenate(routed_lists)
-            local = np.searchsorted(data.global_list_ids, flat)
-            stored = data.global_list_ids[
-                np.minimum(local, len(data.global_list_ids) - 1)
-            ] == flat
-            row_end = np.cumsum([len(r) for r in routed_lists])
-            stored_end = np.concatenate([[0], np.cumsum(stored)])[row_end]
-            probes = np.split(local[stored], stored_end[:-1])
-        nprobe = params.nprobe_by_tid.get(tid, 1)
+        if lists is not None:
+            off = probe_off[a : b + 1]
+            probes = lists[off[0] : off[-1]], np.diff(off)
         fn = idx.batch_search if params.batch_vectors else idx.search
         res_ids, res_scores = fn(
-            qv, params.k, nprobe, mask=mask, stats=stats, probes=probes
+            params.qvecs[qpos], params.k, params.nprobe(tid), mask=mask,
+            stats=stats, probes=probes,
         )
         valid = res_ids != PAD_ID
-        n_per_q = valid.sum(axis=1)
-        rows = pd.DataFrame(
-            {
-                "qpos": np.repeat(qpos, n_per_q),
-                "tid": tid,
-                "id": res_ids[valid],
-                "score": res_scores[valid],
-                "scanned": 0,
-                "dcomp": 0,
-            }
-        )
-        stats_row = pd.DataFrame(
-            {
-                "qpos": [-1],
-                "tid": [tid],
-                "id": [-1],
-                "score": [0.0],
-                "scanned": [stats.tuples_scanned],
-                "dcomp": [stats.distance_computations],
-            }
-        )
-        out_frames.append(rows)
-        out_frames.append(stats_row)
-    if not out_frames:
+        qpos_out += [np.repeat(qpos, valid.sum(axis=1)), [-1]]
+        id_out += [res_ids[valid], [-1]]
+        score_out += [res_scores[valid], [0.0]]
+        n_out.append(int(valid.sum()) + 1)
+        counters.append((stats.tuples_scanned, stats.distance_computations))
+    if not n_out:
         return empty_result_frame()
-    return pd.concat(out_frames, ignore_index=True)
+    # Each template's stats row is its block's last row.
+    stats_at = np.cumsum(n_out) - 1
+    scanned = np.zeros(stats_at[-1] + 1, dtype=np.int64)
+    dcomp = np.zeros_like(scanned)
+    scanned[stats_at], dcomp[stats_at] = np.array(counters, dtype=np.int64).T
+    return pd.DataFrame(
+        {
+            "qpos": np.concatenate(qpos_out, dtype=np.int64),
+            "tid": np.repeat(uniq, n_out),
+            "id": np.concatenate(id_out, dtype=np.int64),
+            "score": np.concatenate(score_out, dtype=np.float64),
+            "scanned": scanned,
+            "dcomp": dcomp,
+        }
+    )
 
 
 @dataclass
@@ -240,18 +269,19 @@ def merge_rows_to_result(
         sizes = np.diff(np.concatenate([starts, [len(qpos)]]))
         ranks = np.arange(len(qpos)) - np.repeat(starts, sizes)
         keep = ranks < k
-        qpos, ids, score = qpos[keep], ids[keep], score[keep]
-        cuts = np.flatnonzero(np.diff(qpos)) + 1
-        uniq_q = qpos[np.concatenate([[0], cuts])] if len(qpos) else []
-        for q, gid, gsc in zip(
-            uniq_q, np.split(ids, cuts), np.split(score, cuts)
+        ids, score = ids[keep], score[keep]
+        # Query j of the run keeps the slice [ends[j] - kept[j], ends[j]).
+        kept = np.minimum(sizes, k)
+        ends = np.cumsum(kept)
+        for qid, a, b in zip(
+            workload.qids[qpos[starts]].tolist(), (ends - kept).tolist(),
+            ends.tolist(),
         ):
-            qid = int(workload.qids[int(q)])
-            res.ids_by_qid[qid] = gid
-            res.scores_by_qid[qid] = gsc
-    for qid in workload.qids:
-        res.ids_by_qid.setdefault(int(qid), np.empty(0, dtype=np.int64))
-        res.scores_by_qid.setdefault(int(qid), np.empty(0))
+            res.ids_by_qid[qid] = ids[a:b]
+            res.scores_by_qid[qid] = score[a:b]
+    for qid in workload.qids.tolist():
+        res.ids_by_qid.setdefault(qid, np.empty(0, dtype=np.int64))
+        res.scores_by_qid.setdefault(qid, np.empty(0))
     return res
 
 

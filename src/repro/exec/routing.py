@@ -11,16 +11,18 @@ both engines group by ``pid``:
 - ``range``: Strategy C — a ``attr < v`` predicate over the partitioning
   attribute selects the overlapping buckets, any other template scans
   all buckets;
-- ``flat``: the query's nprobe nearest *global* IVF centroids determine
-  its posting lists; each (query, bucket) row carries the list ids that
-  live in that bucket.
+- ``flat``: the query's nprobe nearest *global* IVF centroids, in
+  (score, list id) order, determine its posting lists; each (query,
+  bucket) row carries, in that order, the list ids that live in that
+  bucket (a slice of one flat array per template); a template missing
+  from ``nprobe_by_tid`` raises ``KeyError``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.core.distance import pairwise_scores
+from repro.core.distance import pairwise_scores, topk_rows
 from repro.core.predicates import Cmp, In
 from repro.core.types import Workload
 from repro.exec.engine import ExecParams
@@ -83,42 +85,44 @@ def _route_range(plan: PartitionPlan, workload: Workload, params: ExecParams) ->
 
 
 def _route_flat(plan: PartitionPlan, workload: Workload, params: ExecParams) -> pd.DataFrame:
-    frames = []
+    n_lists = len(plan.global_centroids)
+    pids, qposs, tids, lists = [], [], [], []
     for tid in np.unique(workload.qtemplates):
         tid = int(tid)
         qpos = workload.queries_of_template(tid)
-        nprobe = min(
-            params.nprobe_by_tid.get(tid, 1), len(plan.global_centroids)
-        )
+        nprobe = min(params.nprobe(tid), n_lists)
         scores = pairwise_scores(
             workload.qvecs[qpos], plan.global_centroids, params.metric
         )
-        order = np.argsort(scores, axis=1, kind="stable")[:, :nprobe]
+        # Each query's nearest lists, ordered by (score, list id).
+        nearest, _ = topk_rows(scores, np.arange(n_lists), nprobe)
         # Vectorized grouping of the (query, list) pairs by (query, bucket):
         # stable lexsort keeps probe order inside each group.
         fq = np.repeat(qpos, nprobe)
         if not len(fq):
             continue
-        fl = order.ravel()
+        fl = nearest.ravel()
         fb = fl % plan.n_buckets
         perm = np.lexsort((np.arange(len(fq)), fb, fq))
         fq, fl, fb = fq[perm], fl[perm], fb[perm]
         change = (np.diff(fq) != 0) | (np.diff(fb) != 0)
-        cuts = np.flatnonzero(change) + 1
-        starts = np.concatenate([[0], cuts])
-        frames.append(
-            pd.DataFrame(
-                {
-                    "pid": fb[starts],
-                    "qpos": fq[starts],
-                    "tid": tid,
-                    "lists": np.split(fl, cuts),
-                }
-            )
-        )
-    if not frames:
+        starts = np.concatenate([[0], np.flatnonzero(change) + 1])
+        pids.append(fb[starts])
+        qposs.append(fq[starts])
+        tids.append(np.full(len(starts), tid, dtype=np.int64))
+        # Each (query, bucket) row's lists are a view of fl.
+        bounds = np.append(starts, len(fl)).tolist()
+        lists += [fl[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    if not lists:
         return pd.DataFrame(columns=ROUTE_COLUMNS)
-    return pd.concat(frames, ignore_index=True)[ROUTE_COLUMNS]
+    return pd.DataFrame(
+        {
+            "pid": np.concatenate(pids),
+            "qpos": np.concatenate(qposs),
+            "tid": np.concatenate(tids),
+            "lists": lists,
+        }
+    )
 
 
 def route_queries(

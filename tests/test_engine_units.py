@@ -12,6 +12,7 @@ from repro.exec.engine import (
     PartitionData,
     RunResult,
     compact_lists,
+    empty_result_frame,
     merge_rows_to_result,
     post_filter,
     search_partition,
@@ -85,13 +86,33 @@ class TestSearchPartition:
             assert mask[row]
 
     def test_stats_row_per_template(self):
+        """One stats row per routed template, also for a template no row
+        of the partition matches; the frame has ``empty_result_frame``'s
+        dtypes."""
+        data = _toy_partition()
+        for no_match_template in (False, True):
+            wl = _toy_workload(data)
+            tids = wl.qtemplates.copy()
+            if no_match_template:
+                wl.templates[3] = Conjunction([Cmp("etype", "=", "no-such-type")])
+                tids[[1, 4]] = 3
+            routed = pd.DataFrame({"qpos": np.arange(wl.nq), "tid": tids})
+            p = _params(wl, nprobe_by_tid={1: 10**6, 2: 10**6, 3: 10**6})
+            rows = search_partition(data, routed, p)
+            pd.testing.assert_series_equal(rows.dtypes, empty_result_frame().dtypes)
+            stats = rows[rows["id"] < 0]
+            assert stats["tid"].tolist() == sorted(set(tids.tolist()))
+            assert (stats["scanned"] > 0).all()
+            if no_match_template:
+                assert not ((rows["tid"] == 3) & (rows["id"] >= 0)).any()
+                assert stats[stats["tid"] == 3]["dcomp"].tolist() == [0]
+
+    def test_template_without_nprobe_raises(self):
         data = _toy_partition()
         wl = _toy_workload(data)
         routed = pd.DataFrame({"qpos": np.arange(wl.nq), "tid": wl.qtemplates})
-        rows = search_partition(data, routed, _params(wl))
-        stats = rows[rows["id"] < 0]
-        assert sorted(stats["tid"]) == [1, 2]
-        assert (stats["scanned"] > 0).all()
+        with pytest.raises(KeyError, match="template 2"):
+            search_partition(data, routed, _params(wl, nprobe_by_tid={1: 4}))
 
     def test_no_filter_mode_ignores_attrs(self):
         data = _toy_partition()
@@ -144,10 +165,12 @@ class TestSearchPartition:
         for tid in (1, 2):
             qpos = np.flatnonzero(wl.qtemplates == tid)
             stats = SearchStats()
+            per_q = [np.array(local_probes[q], dtype=np.int64) for q in qpos]
             exp_ids, exp_sc = idx.search(
                 wl.qvecs[qpos], p.k, 1,
                 mask=wl.templates[tid].mask(data.attrs)[source_rows],
-                stats=stats, probes=[local_probes[q] for q in qpos],
+                stats=stats,
+                probes=(np.concatenate(per_q), [len(l) for l in per_q]),
             )
             got = rows[(rows["tid"] == tid) & (rows["id"] >= 0)]
             real = exp_ids != PAD_ID

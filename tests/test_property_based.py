@@ -87,6 +87,11 @@ def per_query_scan(idx, queries, k, probes, mask):
     return out_ids, out_scores, stats
 
 
+def flat_probes(per_query):
+    """Per-query probe lists as the scan's ``(lists, n_probes)`` arrays."""
+    return np.concatenate(per_query), [len(p) for p in per_query]
+
+
 class TestIVFProperties:
     @given(
         st.integers(1, 120),
@@ -157,7 +162,8 @@ class TestIVFProperties:
         stats = SearchStats()
         with mock.patch.object(ivf, "_TOPK_CELLS", cells):
             got_ids, got_sc = scan(
-                q, k, nprobe, mask=mask, stats=stats, probes=probes
+                q, k, nprobe, mask=mask, stats=stats,
+                probes=None if probes is None else flat_probes(probes),
             )
         np.testing.assert_array_equal(got_ids, exp_ids)
         np.testing.assert_array_equal(got_sc, exp_sc)
@@ -205,8 +211,9 @@ class TestIVFProperties:
         for nprobe in range(1, idx.n_lists + 1):
             nearest = idx.nearest_centroids(q, nprobe)
             probes = [p[: g.integers(0, nprobe + 1)] for p in nearest]
-            a_ids, a_sc = idx.search(q, k, nprobe, mask=mask, probes=probes)
-            b_ids, b_sc = idx.batch_search(q, k, nprobe, mask=mask, probes=probes)
+            flat = flat_probes(probes)
+            a_ids, a_sc = idx.search(q, k, nprobe, mask=mask, probes=flat)
+            b_ids, b_sc = idx.batch_search(q, k, nprobe, mask=mask, probes=flat)
             np.testing.assert_array_equal(a_ids, b_ids)
             np.testing.assert_array_equal(a_sc, b_sc)
             keep = np.ones(n, dtype=bool) if mask is None else mask

@@ -1,9 +1,12 @@
 """Unit tests for query -> partition routing over each layout kind."""
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.bench.datasets import bigann_lite, bigann_workload
+from repro.core.distance import pairwise_scores
 from repro.core.predicates import Cmp, Conjunction, NotNull
 from repro.core.types import Workload
 from repro.exec.engine import ExecParams
@@ -95,6 +98,51 @@ class TestFlatRouting:
         routed = route_queries(plan, ms_load, params)
         for _, r in routed.head(50).iterrows():
             assert all(l % 4 == r["pid"] for l in r["lists"])
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_probe_order_is_score_then_list_id(
+        self, plan, ms, ms_load, duplicated
+    ):
+        """A query's routed lists, joined across its buckets in bucket
+        order, are its nprobe nearest global centroids in (score, list id)
+        order, grouped by bucket. With duplicated integer-valued centroids
+        and queries, scores tie exactly and the list id decides."""
+        wl = ms_load
+        if duplicated:
+            g = np.random.default_rng(3)
+            n_lists = len(plan.global_centroids)
+            base = g.integers(-2, 3, (n_lists // 3 + 1, ms.dim)).astype(float)
+            plan = dataclasses.replace(
+                plan, global_centroids=base[np.arange(n_lists) % len(base)]
+            )
+            wl = dataclasses.replace(
+                wl, qvecs=g.integers(-2, 3, wl.qvecs.shape).astype(float)
+            )
+        nprobe = 7
+        routed = route_queries(plan, wl, _params(wl, ms.metric, nprobe=nprobe))
+        n_tied = 0
+        for tid in np.unique(wl.qtemplates):
+            qpos = wl.queries_of_template(tid)
+            # The same score matrix routing computes for this template.
+            scores = pairwise_scores(
+                wl.qvecs[qpos], plan.global_centroids, ms.metric
+            )
+            for q, row in zip(qpos, scores.tolist()):
+                nearest = sorted(range(len(row)), key=lambda l: (row[l], l))
+                nearest = nearest[:nprobe]
+                n_tied += len({row[l] for l in nearest}) < nprobe
+                got = routed[routed["qpos"] == q].sort_values("pid")["lists"]
+                assert [int(l) for lists in got for l in lists] == sorted(
+                    nearest, key=lambda l: l % plan.n_buckets
+                )
+        if duplicated:
+            assert n_tied == wl.nq
+
+    def test_template_without_nprobe_raises(self, plan, ms, ms_load):
+        params = _params(ms_load, ms.metric)
+        del params.nprobe_by_tid[10]
+        with pytest.raises(KeyError, match="template 10"):
+            route_queries(plan, ms_load, params)
 
     def test_nprobe_capped_at_list_count(self, plan, ms, ms_load):
         params = _params(ms_load, ms.metric, nprobe=10**6)
