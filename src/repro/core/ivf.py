@@ -80,8 +80,7 @@ class IVFIndex:
         """Train k-means with √n lists (paper default) and bucket rows.
 
         Rows are physically regrouped so each posting list is a
-        contiguous slice — the layout the Spark side persists sorted by
-        ``(pid, list_id)``.
+        contiguous slice, as ``PartitionData`` stores its rows.
         """
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
@@ -103,8 +102,8 @@ class IVFIndex:
         *,
         metric: str,
     ) -> "IVFIndex":
-        """Assemble an index from a precomputed list assignment (used when
-        the assignment was produced distributed, inside ``applyInPandas``)."""
+        """Assemble an index from a precomputed list assignment, regrouping
+        the rows by list with one stable sort."""
         order = np.argsort(labels, kind="stable")
         labels = np.asarray(labels)[order]
         ids = np.ascontiguousarray(np.asarray(ids)[order], dtype=np.int64)

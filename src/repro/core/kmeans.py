@@ -2,7 +2,7 @@
 attribute of Section 4.1.1.
 
 sklearn is not available in this environment and ``pyspark.ml.KMeans``
-cannot run *inside* an ``applyInPandas`` task (no nested Spark jobs), so
+cannot run *inside* a Spark task (no nested Spark jobs), so
 we implement seeded k-means++ / Lloyd in numpy. Sizes here are small:
 at most ~100K points with at most ~√100K ≈ 316 centers.
 """

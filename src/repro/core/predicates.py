@@ -13,7 +13,7 @@ reproduction:
 - ``to_sql()``  — a boolean SQL expression valid in both Spark SQL and
   DuckDB (used by the distributed executor and the correctness oracle),
 - ``mask(pdf)`` — a numpy boolean mask over a pandas chunk (used inside
-  ``applyInPandas`` tasks and by the local reference engine),
+  ``mapInPandas`` tasks and by the local reference engine),
 - structural equality / hashing — used by the qd-tree to deduplicate cut
   predicates and by the batch executor to group queries by template.
 """

@@ -4,8 +4,8 @@ query workload (Definition 2).
 A ``Dataset`` holds the canonical pandas frame (deterministic, produced
 by the generators) and converts to a Spark DataFrame with an explicit
 schema — ``id: long, vec: array<double>, <attr columns>``. The pandas
-form also backs the local reference engine and the DuckDB oracle; the
-Spark form backs the distributed index builder and executor.
+form also backs the index build and the DuckDB oracle; the Spark form
+backs distributed exhaustive search (Strategy A).
 
 A ``Workload`` is a set of hybrid queries in struct-of-arrays form:
 query vectors as one ``(nq, d)`` matrix plus a template id per query
@@ -74,8 +74,7 @@ class Dataset:
                 fields.append(T.StructField(c, T.DoubleType(), True))
         return T.StructType(fields)
 
-    def spark_pdf(self) -> pd.DataFrame:
-        """The ``spark_schema`` columns as the pandas frame Spark is fed."""
+    def to_spark(self, spark: SparkSession) -> DataFrame:
         out = self.pdf[["id", "vec", *self.attr_cols]].copy()
         for c in self.attr_cols:
             # NaN marks missing attributes in the canonical pandas frame;
@@ -83,10 +82,7 @@ class Dataset:
             # IS NOT NULL agrees with pandas notna().
             if np.issubdtype(out[c].dtype, np.floating):
                 out[c] = out[c].astype("Float64")
-        return out
-
-    def to_spark(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.spark_pdf(), schema=self.spark_schema())
+        return spark.createDataFrame(out, schema=self.spark_schema())
 
 
 @dataclass

@@ -6,9 +6,10 @@ Both engines run one pipeline: ``route_queries`` on the driver, then
 
 - the local reference engine loops over partitions on the driver
   (used for nprobe tuning and as the parity oracle in tests);
-- the Spark engine calls ``search_partition`` inside
-  ``cogroup(...).applyInPandas`` tasks, one task per index partition,
-  and collects their rows to the driver for the same merge.
+- the Spark engine calls ``search_partition`` inside ``mapInPandas``
+  tasks over the cached layout's routed rows, each an index partition
+  packed by ``PartitionData.pack``, and collects their rows to the
+  driver for the same merge.
 
 Both engines therefore produce bit-identical results; tests assert it.
 
@@ -34,13 +35,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from repro.core.distance import pairwise_scores
 from repro.core.ivf import PAD_ID, IVFIndex, SearchStats
 from repro.core.predicates import Conjunction
-from repro.core.types import Workload, vec_matrix
+from repro.core.types import Workload
 
 RESULT_COLUMNS = ["qpos", "tid", "id", "score", "scanned", "dcomp"]
+RESULT_SCHEMA = (  # RESULT_COLUMNS as a Spark schema
+    "qpos bigint, tid bigint, id bigint, score double, scanned bigint, dcomp bigint"
+)
 
 
 def empty_result_frame() -> pd.DataFrame:
@@ -88,55 +93,96 @@ def compact_lists(
     return labels, centroids[present], present
 
 
+# ``PartitionData.pack``'s row, as a Spark schema: the cached Spark layout,
+# the Spark scan and the persisted ``hqi`` DataSource all hold these rows.
+PACKED_SCHEMA = (
+    "pid bigint, dim bigint, ids binary, vecs binary, labels binary, "
+    "centroids binary, global_list_ids binary, attrs binary"
+)
+
+
 @dataclass
 class PartitionData:
-    """One physical index partition, reconstructed from a pandas chunk."""
+    """One physical index partition, its rows stored in posting-list order.
+
+    ``labels`` is ascending (``ValueError`` otherwise), so list ``l`` is one
+    contiguous run of rows and ``index`` wraps the arrays without copying.
+    """
 
     pid: int
     ids: np.ndarray  # (n,) int64
     vecs: np.ndarray  # (n, d) float64
-    labels: np.ndarray  # (n,) local posting-list index per row
+    labels: np.ndarray  # (n,) local posting-list index per row, ascending
     centroids: np.ndarray  # (L, d) — row l is local list l's centroid
     attrs: pd.DataFrame  # attribute columns, aligned with ids/vecs rows
     global_list_ids: np.ndarray | None = None  # local l -> global list id
 
-    @classmethod
-    def from_layout_chunk(
-        cls,
-        pid: int,
-        chunk: pd.DataFrame,
-        centroids: np.ndarray,
-        attr_cols: list[str],
-        *,
-        lists_are_global: bool = False,
-    ) -> "PartitionData":
-        """Build from layout rows ``(pid, list_id, id, vec, attrs...)``.
+    def __post_init__(self):
+        if np.any(self.labels[1:] < self.labels[:-1]):
+            raise ValueError("PartitionData rows must be in posting-list order")
 
-        ``lists_are_global`` covers the bucketed (flat-IVF) layout where
-        ``list_id`` indexes the *global* centroid table and the chunk
-        holds only the lists assigned to this bucket.
-        """
-        ids = chunk["id"].to_numpy(dtype=np.int64)
-        vecs = vec_matrix(chunk["vec"])
-        raw = chunk["list_id"].to_numpy(dtype=np.int64)
-        if lists_are_global:
-            labels, cents, global_ids = compact_lists(raw, centroids)
-        else:
-            labels, cents, global_ids = raw, centroids, None
+    def pack(self) -> dict:
+        """This partition as one ``PACKED_SCHEMA`` row: arrays as raw
+        little-endian bytes, attributes as one Arrow IPC stream."""
+        return {
+            "pid": self.pid,
+            "dim": self.vecs.shape[1],
+            "ids": _le_bytes(self.ids, "<i8"),
+            "vecs": _le_bytes(self.vecs, "<f8"),
+            "labels": _le_bytes(self.labels, "<i8"),
+            "centroids": _le_bytes(self.centroids, "<f8"),
+            "global_list_ids": None
+            if self.global_list_ids is None
+            else _le_bytes(self.global_list_ids, "<i8"),
+            "attrs": to_ipc(self.attrs),
+        }
+
+    @classmethod
+    def unpack(cls, row) -> "PartitionData":
+        """Inverse of ``pack``; ``row`` is any mapping of its fields (a
+        dict, a Spark ``Row``). Arrays are views of the row's bytes."""
+        dim = int(row["dim"])
+        global_ids = row["global_list_ids"]
         return cls(
-            pid=pid,
-            ids=ids,
-            vecs=vecs,
-            labels=labels,
-            centroids=cents,
-            attrs=chunk[attr_cols].reset_index(drop=True),
-            global_list_ids=global_ids,
+            pid=int(row["pid"]),
+            ids=np.frombuffer(row["ids"], "<i8"),
+            vecs=np.frombuffer(row["vecs"], "<f8").reshape(-1, dim),
+            labels=np.frombuffer(row["labels"], "<i8"),
+            centroids=np.frombuffer(row["centroids"], "<f8").reshape(-1, dim),
+            attrs=from_ipc(row["attrs"]),
+            global_list_ids=None
+            if global_ids is None
+            else np.frombuffer(global_ids, "<i8"),
         )
 
     def index(self, metric: str) -> IVFIndex:
-        return IVFIndex.from_assignment(
-            self.ids, self.vecs, self.labels, self.centroids, metric=metric
+        return IVFIndex(
+            centroids=self.centroids,
+            vectors=self.vecs,
+            ids=self.ids,
+            list_offsets=np.searchsorted(
+                self.labels, np.arange(len(self.centroids) + 1)
+            ),
+            metric=metric,
         )
+
+
+def _le_bytes(a: np.ndarray, dtype: str) -> bytes:
+    return np.ascontiguousarray(a, dtype=dtype).tobytes()
+
+
+def to_ipc(frame: pd.DataFrame) -> bytes:
+    """``frame`` (without its index) as one Arrow IPC stream."""
+    table = pa.Table.from_pandas(frame, preserve_index=False)
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
+def from_ipc(buf) -> pd.DataFrame:
+    """Inverse of ``to_ipc``."""
+    return pa.ipc.open_stream(buf).read_pandas()
 
 
 def search_partition(
@@ -154,8 +200,6 @@ def search_partition(
     they reach the scan as flat ``(lists, n_probes)`` arrays.
     """
     idx = data.index(params.metric)
-    # Permutation from attrs/chunk row order to index row order, for masks.
-    source_rows = np.argsort(data.labels, kind="stable")
     # Routed rows by template; template j owns rows [bounds[j], bounds[j+1]).
     tids = routed["tid"].to_numpy(dtype=np.int64)
     order = np.argsort(tids, kind="stable")
@@ -189,7 +233,7 @@ def search_partition(
         stats = SearchStats()
         mask = None
         if params.apply_filter and len(template):
-            mask = template.mask(data.attrs)[source_rows]
+            mask = template.mask(data.attrs)
         qpos = qpos_all[a:b]
         probes = None
         if lists is not None:

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession, Window
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
+from pyspark.sql import SparkSession
 
 from repro.core.distance import pairwise_scores, topk_rows
 from repro.core.types import Dataset, Workload, vec_matrix
-from repro.exec.engine import RunResult
+from repro.exec.engine import RESULT_SCHEMA, RunResult, merge_rows_to_result
 
 
 def exhaustive_local(
@@ -54,7 +52,7 @@ def exhaustive_spark(
     spark: SparkSession, dataset: Dataset, workload: Workload, k: int
 ) -> RunResult:
     """Distributed Strategy A: each data chunk emits its local top-k per
-    query via mapInPandas; a window keeps the global top-k."""
+    query via mapInPandas; ``merge_rows_to_result`` keeps the global top-k."""
     df = dataset.to_spark(spark)
     metric = dataset.metric
     templates = workload.templates
@@ -62,17 +60,8 @@ def exhaustive_spark(
     qtemplates = workload.qtemplates
     attr_cols = dataset.attr_cols
 
-    schema = T.StructType(
-        [
-            T.StructField("qpos", T.LongType(), False),
-            T.StructField("id", T.LongType(), False),
-            T.StructField("score", T.DoubleType(), False),
-        ]
-    )
-
     def fn(it):
         for pdf_chunk in it:
-            out = []
             ids = pdf_chunk["id"].to_numpy(dtype=np.int64)
             vecs = vec_matrix(pdf_chunk["vec"])
             attrs = pdf_chunk[attr_cols]
@@ -88,40 +77,20 @@ def exhaustive_spark(
                 qpos = np.flatnonzero(qtemplates == tid)
                 scores = pairwise_scores(qvecs[qpos], vecs[cand], metric)
                 top_ids, top_scores = topk_rows(scores, ids[cand], k)
-                kk = top_ids.shape[1]
-                out.append(
-                    pd.DataFrame(
-                        {
-                            "qpos": np.repeat(qpos, kk),
-                            "id": top_ids.ravel(),
-                            "score": top_scores.ravel(),
-                        }
-                    )
+                n = top_ids.size
+                yield pd.DataFrame(
+                    {
+                        "qpos": np.repeat(qpos, top_ids.shape[1]),
+                        "tid": np.full(n, tid),
+                        "id": top_ids.ravel(),
+                        "score": top_scores.ravel(),
+                        "scanned": np.zeros(n, dtype=np.int64),
+                        "dcomp": np.zeros(n, dtype=np.int64),
+                    }
                 )
-            yield pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-                {"qpos": pd.Series(dtype=np.int64),
-                 "id": pd.Series(dtype=np.int64),
-                 "score": pd.Series(dtype=np.float64)}
-            )
 
-    rows = df.mapInPandas(fn, schema=schema)
-    w = Window.partitionBy("qpos").orderBy(F.col("score").asc(), F.col("id").asc())
-    top = (
-        rows.withColumn("rn", F.row_number().over(w))
-        .filter(F.col("rn") <= k)
-        .select("qpos", "id", "score")
-        .toPandas()
-        .sort_values(["qpos", "score", "id"], kind="stable")
-    )
-    result = RunResult()
-    for qpos, grp in top.groupby("qpos", sort=False):
-        qid = int(workload.qids[int(qpos)])
-        result.ids_by_qid[qid] = grp["id"].to_numpy(dtype=np.int64)
-        result.scores_by_qid[qid] = grp["score"].to_numpy()
-    for qid in workload.qids:
-        result.ids_by_qid.setdefault(int(qid), np.empty(0, dtype=np.int64))
-        result.scores_by_qid.setdefault(int(qid), np.empty(0))
-    return result
+    rows = df.mapInPandas(fn, schema=RESULT_SCHEMA).toPandas()
+    return merge_rows_to_result(rows, workload, k)
 
 
 def recall_at_k(result: RunResult, gt: RunResult, qids=None) -> float:

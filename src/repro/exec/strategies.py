@@ -102,7 +102,7 @@ def build_index(
             plan = plan_flat(dataset, n_buckets=n_buckets, seed=seed)
         built = BuiltIndex(approach, dataset, plan, materialize_local(dataset, plan))
         if engine == "spark":
-            built.layout = materialize_spark(spark, dataset, plan, built.parts)
+            built.layout = materialize_spark(spark, plan, built.parts)
     built.build_seconds = t.seconds
     return built
 

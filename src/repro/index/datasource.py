@@ -1,14 +1,16 @@
 """Custom Python DataSource over the persisted HQI index layout (S7).
 
-The built layout can be persisted to the local filesystem as Parquet
-partitioned by qd-tree leaf (``pid``) plus a JSON sidecar holding the
-schema and routing metadata. ``HQIDataSource`` (PySpark 4 Python Data
-Source API) re-exposes that directory as ``spark.read.format("hqi")``
-with **partition pruning pushed into the scan**: the ``pids`` option —
-produced by routing a query workload through the qd-tree's semantic
-descriptions — limits the ``InputPartition`` list, so pruned partitions
-are never opened, mirroring how the paper's index skips partitions
-before any tuple is scanned.
+The built layout — one ``PartitionData.pack`` row per index partition —
+can be persisted to the local filesystem as Parquet partitioned by
+qd-tree leaf (``pid``), plus a JSON sidecar holding the layout kind and
+the stored pids. ``HQIDataSource`` (PySpark 4 Python Data Source API)
+serves those rows back as ``spark.read.format("hqi")`` with **partition
+pruning pushed into the scan**: the ``pids`` option — produced by
+routing a query workload through the qd-tree's semantic descriptions —
+limits the ``InputPartition`` list, so pruned partitions are never
+opened, mirroring how the paper's index skips partitions before any
+tuple is scanned. The rows carry each partition's centroids, so a loaded
+DataFrame serves as ``SparkLayout.df`` as it is.
 
 A true JVM DataSourceV2 would need Scala; the Python Data Source API is
 the supported pure-Python equivalent (see DESIGN.md §3).
@@ -19,38 +21,23 @@ import json
 import os
 
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 
+from repro.exec.engine import PACKED_SCHEMA
 from repro.index.layout import SparkLayout
 
 META_FILE = "_hqi_meta.json"
 
 
 def save_layout(layout: SparkLayout, path: str) -> None:
-    """Persist a built layout: Parquet partitioned by pid + metadata."""
-    data_path = os.path.join(path, "data")
-    (
-        layout.df.withColumn("pid", F.col("pid").cast("long"))
-        .write.mode("overwrite")
-        .partitionBy("pid")
-        .parquet(data_path)
+    """Persist a built layout: packed rows as Parquet partitioned by pid,
+    plus metadata."""
+    layout.df.write.mode("overwrite").partitionBy("pid").parquet(
+        os.path.join(path, "data")
     )
-    pids = sorted(
-        int(r["pid"]) for r in layout.df.select("pid").distinct().collect()
-    )
-    schema_no_pid = T.StructType(
-        [f for f in layout.df.schema.fields if f.name != "pid"]
-    )
-    meta = {
-        "kind": layout.plan.kind,
-        "attr_cols": layout.attr_cols,
-        "pids": pids,
-        "schema": schema_no_pid.json(),
-    }
+    pids = sorted(int(r["pid"]) for r in layout.df.select("pid").collect())
     with open(os.path.join(path, META_FILE), "w") as f:
-        json.dump(meta, f)
+        json.dump({"kind": layout.plan.kind, "pids": pids}, f)
 
 
 def load_meta(path: str) -> dict:
@@ -72,9 +59,7 @@ class HQIDataSource(DataSource):
         return "hqi"
 
     def schema(self):
-        meta = load_meta(self.options["path"])
-        fields = T.StructType.fromJson(json.loads(meta["schema"])).fields
-        return T.StructType([T.StructField("pid", T.LongType(), False), *fields])
+        return PACKED_SCHEMA
 
     def reader(self, schema):
         return _HQIReader(self.options, schema)
@@ -84,8 +69,7 @@ class _HQIReader(DataSourceReader):
     def __init__(self, options, schema):
         self.path = options["path"]
         self.schema = schema
-        meta = load_meta(self.path)
-        available = meta["pids"]
+        available = load_meta(self.path)["pids"]
         if options.get("pids") is not None:
             wanted = {int(x) for x in str(options["pids"]).split(",") if x != ""}
             self.pids = [p for p in available if p in wanted]
@@ -98,17 +82,16 @@ class _HQIReader(DataSourceReader):
         return [InputPartition(int(p)) for p in self.pids]
 
     def read(self, partition: InputPartition):
+        import pyarrow as pa
         import pyarrow.dataset as pads
 
         if partition is None:  # zero pruned partitions: Spark still runs one task
             return
         pid = int(partition.value)
         part_dir = os.path.join(self.path, "data", f"pid={pid}")
-        dataset = pads.dataset(part_dir, format="parquet")
         cols = [f.name for f in self.schema.fields if f.name != "pid"]
-        for batch in dataset.to_table(columns=cols).to_batches():
-            import pyarrow as pa
-
+        table = pads.dataset(part_dir, format="parquet").to_table(columns=cols)
+        for batch in table.to_batches():
             pid_col = pa.array([pid] * batch.num_rows, type=pa.int64())
             yield pa.RecordBatch.from_arrays(
                 [pid_col, *batch.columns], names=["pid", *batch.schema.names]

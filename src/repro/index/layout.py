@@ -4,11 +4,12 @@ Every approach's physical layout is planned on the driver (deterministic
 numpy — the qd-tree recursion, range bucketing, or global IVF training),
 which fixes each row's partition id (``pid``). ``materialize_local`` then
 trains each partition's IVF on the driver and returns ``PartitionData``
-objects; this is the only build of the index. For the Spark engine,
-``materialize_spark`` ships those partitions as a cached DataFrame
-``(pid, list_id, id, vec, attrs…)`` repartitioned by ``pid`` — the
-"vector index layout partitioned across DataFrame partitions" — and
-keeps each partition's centroids on the driver for routing.
+objects, their rows in posting-list order; this is the only build of the
+index. For the Spark engine, ``materialize_spark`` ships those partitions
+as a cached DataFrame of ``PartitionData.pack`` rows, one row per
+partition, repartitioned by ``pid`` — the "vector index layout
+partitioned across DataFrame partitions". Each row carries its
+partition's centroids, so a Spark task needs nothing but its row.
 
 Layout kinds:
 
@@ -17,22 +18,22 @@ Layout kinds:
   per-bucket IVF;
 - ``flat``  — a single global IVF (PreFilter / PostFilter / LP): posting
   lists are spread over ``n_buckets`` Spark partitions by
-  ``list_id % n_buckets`` so baseline scans parallelize fairly.
+  global list id modulo ``n_buckets`` so baseline scans parallelize fairly.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 from repro.core.kmeans import kmeans
 from repro.core.predicates import In
 from repro.core.qdtree import QDTree, QueryGroup, construct_balanced_qdtree, extract_atoms
 from repro.core.types import Dataset, Workload
-from repro.exec.engine import PartitionData, compact_lists
+from repro.exec.engine import PACKED_SCHEMA, PartitionData, compact_lists
 
 CENTROID_COL = "centroid_id"
 _PART_SEED = 7000  # partition pid trains its IVF with seed _PART_SEED + pid
@@ -199,6 +200,9 @@ def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, Partit
         else:
             centroids, labels = _train_partition(pid, vecs[rows])
             global_ids = None
+        # List order; the stable sort keeps dataset order within a list.
+        order = np.argsort(labels, kind="stable")
+        rows, labels = rows[order], labels[order]
         parts[pid] = PartitionData(
             pid=pid,
             ids=ids[rows],
@@ -214,51 +218,25 @@ def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, Partit
 # ------------------------------------------------------------- spark builder
 @dataclass
 class SparkLayout:
-    """The distributed index: a cached layout DataFrame plus routing meta."""
+    """The distributed index: a cached DataFrame of ``PACKED_SCHEMA`` rows,
+    one per partition, plus the plan that routes queries to them."""
 
-    df: DataFrame  # pid, list_id, id, vec, attrs... ; cached
+    df: DataFrame
     plan: PartitionPlan
-    attr_cols: list[str]
-    centroids_by_pid: dict = field(default_factory=dict)
 
     def unpersist(self) -> None:
         self.df.unpersist()
 
 
-def _layout_schema(dataset: Dataset) -> T.StructType:
-    fields = [
-        T.StructField("pid", T.LongType(), False),
-        T.StructField("list_id", T.LongType(), False),
-    ]
-    return T.StructType(fields + list(dataset.spark_schema().fields))
-
-
 def materialize_spark(
     spark: SparkSession,
-    dataset: Dataset,
     plan: PartitionPlan,
     parts: dict[int, PartitionData],
 ) -> SparkLayout:
-    """Ship the partitions ``materialize_local`` built to Spark as one
-    cached layout DataFrame. ``list_id`` is the row's posting list in its
-    partition's IVF, or in the global IVF for a flat layout."""
-    if plan.lists_are_global:
-        list_id = plan.list_of_row
-        centroids_by_pid = {}
-    else:
-        list_id = np.empty(dataset.n, dtype=np.int64)
-        for pid, part in parts.items():
-            list_id[plan.pid_of_row == pid] = part.labels
-        centroids_by_pid = {pid: part.centroids for pid, part in parts.items()}
-    frame = dataset.spark_pdf()
-    frame.insert(0, "pid", plan.pid_of_row)
-    frame.insert(1, "list_id", list_id)
-    layout = spark.createDataFrame(frame, schema=_layout_schema(dataset))
-    layout = layout.repartition("pid").cache()
+    """Ship the partitions ``materialize_local`` built to Spark, one packed
+    row each, hash-partitioned by ``pid`` and cached."""
+    rows = pd.DataFrame([part.pack() for part in parts.values()])
+    layout = spark.createDataFrame(rows, schema=PACKED_SCHEMA)
+    layout = layout.repartition(len(parts), "pid").cache()
     layout.count()  # ship now, inside the build time
-    return SparkLayout(
-        df=layout,
-        plan=plan,
-        attr_cols=dataset.attr_cols,
-        centroids_by_pid=centroids_by_pid,
-    )
+    return SparkLayout(df=layout, plan=plan)

@@ -1,7 +1,9 @@
 """Tests for the persisted-layout Python DataSource (S7)."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.exec.engine import PartitionData
 from repro.exec.strategies import build_index, run_queries
 from repro.index.datasource import load_meta, read_layout, save_layout
 from repro.index.layout import SparkLayout
@@ -31,32 +33,41 @@ def persisted(spark, kg, kg_load, tmp_path_factory):
     return built, path
 
 
+def _decoded(df):
+    """pid -> PartitionData for every packed row of a layout DataFrame."""
+    return {int(r["pid"]): PartitionData.unpack(r) for r in df.collect()}
+
+
 class TestSaveLoad:
-    def test_meta_written(self, persisted):
+    def test_meta_written(self, spark, persisted):
         built, path = persisted
         meta = load_meta(path)
         assert meta["kind"] == "hqi"
         assert meta["pids"] == sorted(
             {int(p) for p in np.unique(built.plan.pid_of_row)}
         )
-        assert "etype" in meta["attr_cols"]
+        part = PartitionData.unpack(read_layout(spark, path).first())
+        assert "etype" in part.attrs.columns
 
     def test_roundtrip_all_rows(self, spark, persisted):
         built, path = persisted
-        df = read_layout(spark, path)
-        orig = built.layout.df.select("pid", "list_id", "id").toPandas()
-        got = df.select("pid", "list_id", "id").toPandas()
-        orig_s = orig.sort_values("id").reset_index(drop=True)
-        got_s = got.sort_values("id").reset_index(drop=True)
-        np.testing.assert_array_equal(got_s["id"], orig_s["id"])
-        np.testing.assert_array_equal(got_s["pid"], orig_s["pid"])
-        np.testing.assert_array_equal(got_s["list_id"], orig_s["list_id"])
+        orig = _decoded(built.layout.df)
+        got = _decoded(read_layout(spark, path))
+        assert set(got) == set(orig)
+        for pid, part in orig.items():
+            np.testing.assert_array_equal(got[pid].ids, part.ids)
+            np.testing.assert_array_equal(got[pid].labels, part.labels)
+            np.testing.assert_array_equal(got[pid].centroids, part.centroids)
+            pd.testing.assert_frame_equal(got[pid].attrs, part.attrs)
 
     def test_vectors_survive_roundtrip(self, spark, persisted, kg):
         built, path = persisted
-        row = read_layout(spark, path).filter("id = 7").collect()[0]
+        (part,) = [
+            p for p in _decoded(read_layout(spark, path)).values() if 7 in p.ids
+        ]
         np.testing.assert_allclose(
-            np.array(row["vec"]), kg.pdf.loc[kg.pdf["id"] == 7, "vec"].iloc[0]
+            part.vecs[np.flatnonzero(part.ids == 7)[0]],
+            kg.pdf.loc[kg.pdf["id"] == 7, "vec"].iloc[0],
         )
 
 
@@ -78,12 +89,7 @@ class TestPartitionPruning:
         t4 = kg_load.templates[4]
         pids = tree.route_group(tree.group_for(list(t4)))
         pruned_df = read_layout(spark, path, pids=pids)
-        pruned_layout = SparkLayout(
-            df=pruned_df.cache(),
-            plan=built.plan,
-            attr_cols=built.layout.attr_cols,
-            centroids_by_pid=built.layout.centroids_by_pid,
-        )
+        pruned_layout = SparkLayout(df=pruned_df.cache(), plan=built.plan)
         from dataclasses import replace
 
         alt = replace(built, layout=pruned_layout)

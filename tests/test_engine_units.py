@@ -31,13 +31,14 @@ def _toy_partition(n=60, d=4, seed=0, n_lists=4):
             "h": np.where(g.random(n) < 0.5, g.random(n), np.nan),
         }
     )
+    order = np.argsort(labels, kind="stable")  # rows in list order
     return PartitionData(
         pid=0,
-        ids=np.arange(100, 100 + n, dtype=np.int64),
-        vecs=vecs,
-        labels=labels,
+        ids=np.arange(100, 100 + n, dtype=np.int64)[order],
+        vecs=vecs[order],
+        labels=labels[order],
         centroids=centroids,
-        attrs=attrs,
+        attrs=attrs.iloc[order].reset_index(drop=True),
     )
 
 
@@ -161,14 +162,13 @@ class TestSearchPartition:
         p = _params(wl, batch_vectors=False)
         rows = search_partition(data, routed, p)
         idx = data.index("l2")
-        source_rows = np.argsort(data.labels, kind="stable")
         for tid in (1, 2):
             qpos = np.flatnonzero(wl.qtemplates == tid)
             stats = SearchStats()
             per_q = [np.array(local_probes[q], dtype=np.int64) for q in qpos]
             exp_ids, exp_sc = idx.search(
                 wl.qvecs[qpos], p.k, 1,
-                mask=wl.templates[tid].mask(data.attrs)[source_rows],
+                mask=wl.templates[tid].mask(data.attrs),
                 stats=stats,
                 probes=(np.concatenate(per_q), [len(l) for l in per_q]),
             )
@@ -194,52 +194,69 @@ class TestSearchPartition:
         pd.testing.assert_frame_equal(ka[["qpos", "id"]], kb[["qpos", "id"]])
 
 
-class TestPartitionDataFromChunk:
-    def test_local_list_ids(self):
-        data = _toy_partition()
-        chunk = pd.DataFrame(
+class TestPackedPartition:
+    """``PartitionData.pack`` / ``unpack``: the one row per partition that
+    the Spark layout and the ``hqi`` DataSource hold."""
+
+    @staticmethod
+    def _sparse_attrs(data, seed=2):
+        """NaN-heavy floats, ``None`` strings and an integer column."""
+        g = np.random.default_rng(seed)
+        n = len(data.ids)
+        etype = g.choice(["a", "b"], n).astype(object)
+        etype[g.random(n) < 0.3] = None
+        return pd.DataFrame(
             {
-                "pid": 0,
-                "list_id": data.labels,
-                "id": data.ids,
-                "vec": list(data.vecs),
-                "etype": data.attrs["etype"],
-                "h": data.attrs["h"],
+                "etype": etype,
+                "h": np.where(g.random(n) < 0.9, np.nan, g.random(n)),
+                "pop": np.where(g.random(n) < 0.5, np.nan, g.random(n)),
+                "rank": g.integers(0, 5, n),
             }
         )
-        rebuilt = PartitionData.from_layout_chunk(
-            0, chunk, data.centroids, ["etype", "h"]
-        )
-        np.testing.assert_array_equal(rebuilt.ids, data.ids)
-        np.testing.assert_array_equal(rebuilt.labels, data.labels)
-        assert rebuilt.global_list_ids is None
 
-    def test_global_list_ids_compacted(self):
+    @staticmethod
+    def _assert_roundtrip(data):
+        got = PartitionData.unpack(data.pack())
+        assert got.pid == data.pid
+        for f in ("ids", "vecs", "labels", "centroids"):
+            assert getattr(got, f).dtype == getattr(data, f).dtype, f
+            np.testing.assert_array_equal(getattr(got, f), getattr(data, f))
+        pd.testing.assert_frame_equal(got.attrs, data.attrs)
+        return got
+
+    def test_local_list_partition_roundtrips(self):
+        data = _toy_partition()
+        data.attrs = self._sparse_attrs(data)
+        got = self._assert_roundtrip(data)
+        assert got.global_list_ids is None
+
+    def test_global_list_partition_roundtrips(self):
         data = _toy_partition()
         global_lists = data.labels * 3 + 1  # sparse global numbering
-        all_centroids = np.zeros((3 * data.centroids.shape[0] + 1,
-                                  data.centroids.shape[1]))
-        all_centroids[np.unique(global_lists)] = data.centroids[
-            np.unique(data.labels)
-        ]
-        chunk = pd.DataFrame(
-            {
-                "pid": 2,
-                "list_id": global_lists,
-                "id": data.ids,
-                "vec": list(data.vecs),
-                "etype": data.attrs["etype"],
-                "h": data.attrs["h"],
-            }
+        all_centroids = np.arange(
+            (3 * data.centroids.shape[0] + 1) * data.centroids.shape[1],
+            dtype=np.float64,
+        ).reshape(-1, data.centroids.shape[1])
+        labels, cents, global_ids = compact_lists(global_lists, all_centroids)
+        data = PartitionData(
+            pid=2, ids=data.ids, vecs=data.vecs, labels=labels, centroids=cents,
+            attrs=self._sparse_attrs(data), global_list_ids=global_ids,
         )
-        rebuilt = PartitionData.from_layout_chunk(
-            2, chunk, all_centroids, ["etype", "h"], lists_are_global=True
-        )
-        assert rebuilt.global_list_ids is not None
-        # Local labels must be a compaction of the global numbering.
+        got = self._assert_roundtrip(data)
+        assert got.global_list_ids.dtype == np.int64
+        np.testing.assert_array_equal(got.global_list_ids, global_ids)
+        # Local labels stay a compaction of the global numbering.
         np.testing.assert_array_equal(
-            rebuilt.global_list_ids[rebuilt.labels], global_lists
+            got.global_list_ids[got.labels], global_lists
         )
+
+    def test_rows_out_of_list_order_rejected(self):
+        data = _toy_partition()
+        with pytest.raises(ValueError, match="posting-list order"):
+            PartitionData(
+                pid=0, ids=data.ids, vecs=data.vecs, labels=data.labels[::-1],
+                centroids=data.centroids, attrs=data.attrs,
+            )
 
 
 class TestMergeRows:

@@ -134,6 +134,18 @@ class TestMaterializeLocal:
             assert p.global_list_ids is not None
             assert all(g % 4 == pid for g in p.global_list_ids)
 
+    @pytest.mark.parametrize("kind", ["hqi", "flat"])
+    def test_index_lists_hold_their_labelled_rows(self, kg, wl, kind):
+        """Rows are stored in list order, so each posting list of
+        ``PartitionData.index`` is exactly the rows labelled with it."""
+        plan = plan_hqi(kg, wl, min_size=256) if kind == "hqi" else plan_flat(kg)
+        for p in materialize_local(kg, plan).values():
+            idx = p.index(kg.metric)
+            np.testing.assert_array_equal(
+                np.repeat(np.arange(idx.n_lists), np.diff(idx.list_offsets)),
+                p.labels,
+            )
+
     def test_attrs_aligned_with_ids(self, kg, wl):
         plan = plan_hqi(kg, wl, min_size=256)
         parts = materialize_local(kg, plan)

@@ -38,7 +38,7 @@ def test_quick_run_answers_correctly(workload):
 
 
 def test_traced_quick_run_local_spark_parity():
-    """PreFilter's per-query scan runs inside Spark's applyInPandas tasks
+    """PreFilter's per-query scan runs inside Spark's mapInPandas tasks
     too; the traced run fails any query whose Spark answer differs."""
     result = _quick_run("relatedqs-prefilter", trace=1)
     assert result["correct"] is True

@@ -8,6 +8,7 @@ import pytest
 from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.core.predicates import Cmp, Conjunction, In, NotNull
 from repro.core.types import Workload
+from repro.exec.engine import PartitionData
 from repro.exec.recall import exhaustive_local, exhaustive_spark, recall_at_k
 from repro.exec.strategies import build_index, run_queries
 from repro.index.layout import materialize_local, materialize_spark, plan_flat, plan_hqi
@@ -85,18 +86,22 @@ class TestLayoutParity:
     def test_spark_layout_matches_local(self, spark, kg, kg_load, kind):
         """The shipped layout must put every tuple in the same partition
         and posting list as the driver-built partitions, with identical
-        centroids."""
+        centroids, vectors and attributes."""
         if kind == "hqi":
             plan = plan_hqi(kg, kg_load, min_size=256)
         else:
             plan = plan_flat(kg, n_buckets=4)
         local = materialize_local(kg, plan)
-        layout = materialize_spark(spark, kg, plan, local)
-        rows = layout.df.select("pid", "list_id", "id").toPandas()
-        by_pid = {int(p): g for p, g in rows.groupby("pid")}
+        layout = materialize_spark(spark, plan, local)
+        by_pid = {int(r["pid"]): PartitionData.unpack(r) for r in layout.df.collect()}
         assert set(by_pid) == set(local)
         for pid, part in local.items():
-            got = by_pid[pid].sort_values("id")
+            shipped = by_pid[pid]
+            np.testing.assert_array_equal(shipped.vecs, part.vecs)
+            pd.testing.assert_frame_equal(shipped.attrs, part.attrs)
+            got = pd.DataFrame(
+                {"id": shipped.ids, "list_id": shipped.labels}
+            ).sort_values("id")
             want = pd.DataFrame(
                 {"id": part.ids, "list": part.labels}
             ).sort_values("id")
@@ -106,14 +111,15 @@ class TestLayoutParity:
             if kind == "flat":
                 want_global = part.global_list_ids[want["list"].to_numpy()]
                 np.testing.assert_array_equal(
-                    got["list_id"].to_numpy(), want_global
+                    shipped.global_list_ids[got["list_id"].to_numpy()],
+                    want_global,
                 )
             else:
                 np.testing.assert_array_equal(
                     got["list_id"].to_numpy(), want["list"].to_numpy()
                 )
                 np.testing.assert_allclose(
-                    layout.centroids_by_pid[pid], part.centroids, atol=1e-12
+                    shipped.centroids, part.centroids, atol=1e-12
                 )
         layout.unpersist()
 
