@@ -129,6 +129,12 @@ def format_table5(rob_rows) -> str:
     for r in rob_rows:
         cells = " | ".join(f"{x:5.3f}" for x in r.recall)
         out.append(f"{_LABEL[r.approach]:<10} | {cells}")
+    for r in rob_rows:
+        if r.full_probe_tids:
+            out.append(
+                f"{_LABEL[r.approach]}: templates {r.full_probe_tids} are absent"
+                " from t0 and ran at full probe"
+            )
     return "\n".join(out)
 
 

@@ -12,19 +12,35 @@ reproduction:
 
 - ``to_sql()``  — a boolean SQL expression valid in both Spark SQL and
   DuckDB (used by the distributed executor and the correctness oracle),
-- ``mask(pdf)`` — a numpy boolean mask over a pandas chunk (used inside
-  ``mapInPandas`` tasks and by the local reference engine),
+- ``mask(pdf)`` — a numpy boolean mask over a pandas frame (the filter
+  bitmap ``search_partition`` pushes into the scan, in both engines),
 - structural equality / hashing — used by the qd-tree to deduplicate cut
   predicates and by the batch executor to group queries by template.
+
+Every atom's mask goes through one column kernel, ``_column_mask``. Index
+partitions store their string attributes dictionary-encoded
+(``dictionary_encode``: pandas categoricals, Arrow dictionary arrays once
+packed), so on such a column the atom's test runs once per dictionary
+entry and the result is gathered by code, with code -1 (NULL) reading
+False. A float column is tested with numpy and ``~isnan``; any other
+column (the canonical ``Dataset`` frame's object strings, integers) takes
+the pandas path. NULLs never satisfy an atom on any path.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 
-_OPS = {"<", "<=", ">", ">=", "="}
+_CMP = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+}
 
 
 def _sql_literal(v) -> str:
@@ -41,6 +57,26 @@ def _sql_literal(v) -> str:
     raise TypeError(f"unsupported literal type: {type(v)!r}")
 
 
+def dictionary_encode(frame: pd.DataFrame) -> pd.DataFrame:
+    """``frame`` with its object (string / ``None``) columns as pandas
+    categoricals, the form ``mask`` tests once per dictionary entry."""
+    obj = [c for c in frame.columns if frame[c].dtype == object]
+    return frame.astype(dict.fromkeys(obj, "category")) if obj else frame
+
+
+def _column_mask(col: pd.Series, test) -> np.ndarray:
+    """``test`` (values -> bools, elementwise) over ``col``; NULLs read False."""
+    if isinstance(col.dtype, pd.CategoricalDtype):
+        cat = col.array  # the pd.Categorical; its codes without a Series
+        hit = np.asarray(test(cat.categories.to_numpy()), dtype=bool)
+        # Code -1 (NULL) gathers the appended False.
+        return np.append(hit, False).take(cat.codes)
+    if col.dtype.kind == "f":
+        vals = col.to_numpy()
+        return np.asarray(test(vals), dtype=bool) & ~np.isnan(vals)
+    return np.asarray(test(col), dtype=bool) & col.notna().to_numpy()
+
+
 @dataclass(frozen=True)
 class Cmp:
     """Unary comparison ``attr op value`` (NULLs never satisfy it)."""
@@ -50,27 +86,15 @@ class Cmp:
     value: object
 
     def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(f"op must be one of {_OPS}, got {self.op!r}")
+        if self.op not in _CMP:
+            raise ValueError(f"op must be one of {sorted(_CMP)}, got {self.op!r}")
 
     def to_sql(self) -> str:
         return f"({self.attr} {self.op} {_sql_literal(self.value)})"
 
     def mask(self, pdf: pd.DataFrame) -> np.ndarray:
-        col = pdf[self.attr]
-        if self.op == "<":
-            m = col < self.value
-        elif self.op == "<=":
-            m = col <= self.value
-        elif self.op == ">":
-            m = col > self.value
-        elif self.op == ">=":
-            m = col >= self.value
-        else:  # "="
-            m = col == self.value
-        # NaN comparisons are already False; explicit notna() also covers
-        # object columns holding None.
-        return (m & col.notna()).to_numpy(dtype=bool)
+        cmp = _CMP[self.op]
+        return _column_mask(pdf[self.attr], lambda v: cmp(v, self.value))
 
     def attrs(self) -> frozenset[str]:
         return frozenset({self.attr})
@@ -94,8 +118,7 @@ class In:
         return f"({self.attr} IN ({vals}))"
 
     def mask(self, pdf: pd.DataFrame) -> np.ndarray:
-        col = pdf[self.attr]
-        return (col.isin(self.values) & col.notna()).to_numpy(dtype=bool)
+        return _column_mask(pdf[self.attr], lambda v: pd.Index(v).isin(self.values))
 
     def attrs(self) -> frozenset[str]:
         return frozenset({self.attr})
@@ -111,7 +134,7 @@ class NotNull:
         return f"({self.attr} IS NOT NULL)"
 
     def mask(self, pdf: pd.DataFrame) -> np.ndarray:
-        return pdf[self.attr].notna().to_numpy(dtype=bool)
+        return _column_mask(pdf[self.attr], lambda v: np.ones(len(v), dtype=bool))
 
     def attrs(self) -> frozenset[str]:
         return frozenset({self.attr})

@@ -37,12 +37,15 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from repro.core.distance import pairwise_scores
+from repro.core.distance import topk_rows
 from repro.core.ivf import PAD_ID, IVFIndex, SearchStats
 from repro.core.predicates import Conjunction
 from repro.core.types import Workload
 
 RESULT_COLUMNS = ["qpos", "tid", "id", "score", "scanned", "dcomp"]
+# Candidate-buffer cells per top-k call of the merge, as ``ivf._TOPK_CELLS``
+# bounds the scan's: keeps the merge's memory flat on large batches.
+_MERGE_CELLS = 1 << 16
 RESULT_SCHEMA = (  # RESULT_COLUMNS as a Spark schema
     "qpos bigint, tid bigint, id bigint, score double, scanned bigint, dcomp bigint"
 )
@@ -114,7 +117,8 @@ class PartitionData:
     vecs: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) local posting-list index per row, ascending
     centroids: np.ndarray  # (L, d) — row l is local list l's centroid
-    attrs: pd.DataFrame  # attribute columns, aligned with ids/vecs rows
+    attrs: pd.DataFrame  # attribute columns, aligned with ids/vecs rows;
+    # strings dictionary-encoded (``predicates.dictionary_encode``)
     global_list_ids: np.ndarray | None = None  # local l -> global list id
 
     def __post_init__(self):
@@ -300,23 +304,43 @@ def merge_rows_to_result(
         )
     data_rows = rows[rows["id"] >= 0]
     if len(data_rows):
-        # Vectorized per-query top-k: lexsort by (qpos, score, id), rank
-        # within each qpos run, keep rank < k. A candidate can reach a
-        # query from at most one partition (partitions are disjoint), so
-        # no dedup is needed.
+        # Group rows by query with one stable sort, then select each
+        # query's top-k as the scan does: a padded per-query buffer and
+        # ``topk_rows``, in chunks of queries whose buffer stays within
+        # _MERGE_CELLS cells. A candidate can reach a query from at most
+        # one partition (partitions are disjoint), so no dedup is needed.
         qpos = data_rows["qpos"].to_numpy(dtype=np.int64)
-        ids = data_rows["id"].to_numpy(dtype=np.int64)
-        score = data_rows["score"].to_numpy()
-        perm = np.lexsort((ids, score, qpos))
-        qpos, ids, score = qpos[perm], ids[perm], score[perm]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(qpos)) + 1])
-        sizes = np.diff(np.concatenate([starts, [len(qpos)]]))
-        ranks = np.arange(len(qpos)) - np.repeat(starts, sizes)
-        keep = ranks < k
-        ids, score = ids[keep], score[keep]
-        # Query j of the run keeps the slice [ends[j] - kept[j], ends[j]).
+        order = np.argsort(qpos, kind="stable")
+        qpos = qpos[order]
+        ids = data_rows["id"].to_numpy(dtype=np.int64)[order]
+        score = data_rows["score"].to_numpy(dtype=np.float64)[order]
+        # Query j of the run owns rows [offs[j], offs[j + 1]).
+        offs = np.append(np.flatnonzero(np.diff(qpos, prepend=-1)), len(qpos))
+        starts, sizes = offs[:-1], np.diff(offs)
+        # Query j keeps the slice [ends[j] - kept[j], ends[j]).
         kept = np.minimum(sizes, k)
         ends = np.cumsum(kept)
+        top_ids = np.empty(ends[-1], dtype=np.int64)
+        top_scores = np.empty(ends[-1])
+        chunk = max(1, _MERGE_CELLS // int(sizes.max()))
+        for c0 in range(0, len(starts), chunk):
+            c1 = min(len(starts), c0 + chunk)
+            width, base, end = int(sizes[c0:c1].max()), offs[c0], offs[c1]
+            # Row j of the chunk fills cell[j]: its query's buffer row, at
+            # its place in that query's run.
+            cell = np.arange(end - base) + np.repeat(
+                np.arange(c1 - c0) * width - (starts[c0:c1] - base), sizes[c0:c1]
+            )
+            buf_ids = np.full((c1 - c0, width), PAD_ID, dtype=np.int64)
+            buf_scores = np.full((c1 - c0, width), np.inf)
+            buf_ids.ravel()[cell] = ids[base:end]
+            buf_scores.ravel()[cell] = score[base:end]
+            tid, tsc = topk_rows(buf_scores, buf_ids, k)
+            # Padding sorts last, so each row's first min(size, k) are real.
+            valid = tid != PAD_ID
+            out = slice(ends[c0] - kept[c0], ends[c1 - 1])
+            top_ids[out], top_scores[out] = tid[valid], tsc[valid]
+        ids, score = top_ids, top_scores
         for qid, a, b in zip(
             workload.qids[qpos[starts]].tolist(), (ends - kept).tolist(),
             ends.tolist(),

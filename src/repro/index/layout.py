@@ -30,7 +30,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.kmeans import kmeans
-from repro.core.predicates import In
+from repro.core.predicates import In, dictionary_encode
 from repro.core.qdtree import QDTree, QueryGroup, construct_balanced_qdtree, extract_atoms
 from repro.core.types import Dataset, Workload
 from repro.exec.engine import PACKED_SCHEMA, PartitionData, compact_lists
@@ -184,7 +184,13 @@ def _train_partition(pid: int, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, PartitionData]:
-    """Build every partition's index on the driver: dict pid -> PartitionData."""
+    """Build every partition's index on the driver: dict pid -> PartitionData.
+
+    Each partition's string attributes are dictionary-encoded here, once,
+    so every copy of it (packed, shipped, persisted) holds dictionary
+    codes. Encoding each partition's slice, not a copy of the whole frame,
+    adds no frame-sized temporaries to the build's peak RSS.
+    """
     pdf = dataset.pdf
     vecs = dataset.vecs()
     ids = dataset.ids()
@@ -209,7 +215,9 @@ def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, Partit
             vecs=vecs[rows],
             labels=labels,
             centroids=centroids,
-            attrs=pdf.iloc[rows][dataset.attr_cols].reset_index(drop=True),
+            attrs=dictionary_encode(
+                pdf.iloc[rows][dataset.attr_cols].reset_index(drop=True)
+            ),
             global_list_ids=global_ids,
         )
     return parts

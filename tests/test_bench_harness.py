@@ -15,7 +15,9 @@ from repro.bench.report import (
     format_table4,
     format_table5,
 )
-from repro.bench.robustness import RobustnessRow
+from repro.bench.robustness import RobustnessRow, split_nprobe
+from repro.exec.recall import exhaustive_local
+from repro.exec.strategies import build_index, run_queries
 from repro.kg.entities import kg_entities
 from repro.kg.table1 import format_table1, workload_characteristics
 from repro.kg.workload import relatedqs_workload
@@ -127,6 +129,16 @@ class TestReportUnits:
         text = format_table5(rows)
         assert "1.000x" in text and "0.032x" in text
 
+    def test_table5_names_full_probe_templates(self):
+        rows = [
+            RobustnessRow("hqi", qps=[100] * 4, recall=[0.9] * 4,
+                          full_probe_tids=[9]),
+            RobustnessRow("prefilter", qps=[3.0] * 4, recall=[0.85] * 4),
+        ]
+        text = format_table5(rows)
+        assert "templates [9] are absent from t0" in text
+        assert text.count("full probe") == 1  # only the row that used it
+
     def test_table2_lists_all_datasets(self):
         text = format_table2(SCALE)
         for name in ("RelatedQS", "LP", "MSTuring", "SIFT", "YandexT2I"):
@@ -139,3 +151,38 @@ class TestNumpyDeterminism:
         a, _, _ = load_dataset("MSTuring", SCALE)
         b, _, _ = load_dataset("MSTuring", SCALE)
         np.testing.assert_array_equal(a.vecs(), b.vecs())
+
+
+class TestTable5UnseenTemplates:
+    """Table 5 tunes nprobe on t0. With workload seed 1 at test scale, T9
+    is absent from t0 but present in t2 and t3."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = kg_entities(n=SCALE.kg_n, dim=SCALE.kg_dim, seed=0)
+        splits = relatedqs_workload(
+            ds, n_queries_per_split=SCALE.relatedqs_per_split, seed=1
+        )
+        return ds, splits
+
+    def test_unseen_templates_run_at_max_nprobe(self, setup):
+        _, splits = setup
+        assert 9 not in splits[0].template_counts()
+        assert 9 in splits[2].template_counts() and 9 in splits[3].template_counts()
+        tuned = {tid: 2 for tid in splits[0].template_counts()}
+        nprobe, full = split_nprobe(tuned, splits, max_nprobe=78)
+        assert full == [9]
+        assert nprobe == {**tuned, 9: 78}
+        assert split_nprobe(nprobe, splits, max_nprobe=78) == (nprobe, [])
+
+    def test_full_probe_is_exact_for_unseen_template(self, setup):
+        ds, splits = setup
+        built = build_index("hqi", ds, splits[0], min_size=SCALE.min_size)
+        tuned = {tid: 1 for tid in splits[0].template_counts()}
+        max_nprobe = int(np.sqrt(ds.n)) + 1
+        nprobe, _ = split_nprobe(tuned, splits, max_nprobe)
+        t2 = splits[2].subset(splits[2].queries_of_template(9))
+        got = run_queries(built, t2, k=SCALE.k, nprobe_by_tid=nprobe)
+        exp = exhaustive_local(ds, t2, SCALE.k)
+        for qid in t2.qids.tolist():
+            np.testing.assert_array_equal(got.ids_by_qid[qid], exp.ids_by_qid[qid])

@@ -9,6 +9,7 @@ from repro.index.datasource import load_meta, read_layout, save_layout
 from repro.index.layout import SparkLayout
 from repro.kg.entities import kg_entities
 from repro.kg.workload import relatedqs_workload
+from tests.test_layout_units import assert_encoded_partition
 
 K = 10
 
@@ -59,6 +60,12 @@ class TestSaveLoad:
             np.testing.assert_array_equal(got[pid].labels, part.labels)
             np.testing.assert_array_equal(got[pid].centroids, part.centroids)
             pd.testing.assert_frame_equal(got[pid].attrs, part.attrs)
+
+    def test_loaded_partitions_are_encoded(self, spark, persisted, kg):
+        _, path = persisted
+        raw_by_id = kg.pdf.set_index("id")
+        for part in _decoded(read_layout(spark, path)).values():
+            assert_encoded_partition(part, raw_by_id)
 
     def test_vectors_survive_roundtrip(self, spark, persisted, kg):
         built, path = persisted

@@ -1,5 +1,7 @@
 """Unit tests for the execution-engine building blocks: PartitionData,
 search_partition, result merging, and post-filtering."""
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.core.ivf import PAD_ID, SearchStats
 from repro.core.predicates import Cmp, Conjunction, NotNull
 from repro.core.types import Workload
+from repro.exec import engine
 from repro.exec.engine import (
     ExecParams,
     PartitionData,
@@ -316,6 +319,80 @@ class TestMergeRows:
         )
         res = merge_rows_to_result(rows, wl, k=1)
         assert res.ids_by_qid[10].tolist() == [4]
+
+    @staticmethod
+    def _rows(qpos, ids, scores):
+        n = len(qpos)
+        return pd.DataFrame(
+            {
+                "qpos": np.asarray(qpos, dtype=np.int64),
+                "tid": np.ones(n, dtype=np.int64),
+                "id": np.asarray(ids, dtype=np.int64),
+                "score": np.asarray(scores, dtype=np.float64),
+                "scanned": np.zeros(n, dtype=np.int64),
+                "dcomp": np.zeros(n, dtype=np.int64),
+            }
+        )
+
+    @staticmethod
+    def _lexsort_reference(rows, wl, k):
+        """Per-query top-k by one 3-key sort on (qpos, score, id)."""
+        qpos, ids, score = (rows[c].to_numpy() for c in ("qpos", "id", "score"))
+        perm = np.lexsort((ids, score, qpos))
+        out = {}
+        for pos, qid in enumerate(wl.qids.tolist()):
+            sel = perm[qpos[perm] == pos][:k]
+            out[qid] = (ids[sel], score[sel])
+        return out
+
+    def test_ties_across_partitions_broken_by_id(self):
+        wl = self._wl(1)
+        # Two partitions' rows, each in (score, id) order, tying on score.
+        rows = pd.concat(
+            [
+                self._rows([0, 0, 0], [8, 30, 31], [0.5, 1.0, 1.0]),
+                self._rows([0, 0, 0], [2, 12, 40], [1.0, 1.0, 2.0]),
+            ],
+            ignore_index=True,
+        )
+        res = merge_rows_to_result(rows, wl, k=4)
+        assert res.ids_by_qid[10].tolist() == [8, 2, 12, 30]
+        assert res.scores_by_qid[10].tolist() == [0.5, 1.0, 1.0, 1.0]
+
+    def test_fewer_than_k_and_no_rows(self):
+        wl = self._wl(3)
+        rows = self._rows([2, 0, 2], [5, 6, 4], [0.2, 0.9, 0.2])
+        res = merge_rows_to_result(rows, wl, k=5)
+        assert res.ids_by_qid[10].tolist() == [6]
+        assert res.ids_by_qid[20].tolist() == []  # no rows
+        assert res.scores_by_qid[20].dtype == np.float64
+        assert res.ids_by_qid[30].tolist() == [4, 5]
+        assert res.scores_by_qid[30].tolist() == [0.2, 0.2]
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 5, None])
+    def test_chunk_boundaries(self, per_chunk):
+        """Queries merged in chunks of ``per_chunk`` (budget = that many of
+        the largest query's rows; None keeps the module budget) give what
+        one sort over all rows gives."""
+        g = np.random.default_rng(per_chunk or 0)
+        nq, n, k = 23, 400, 6
+        wl = Workload(
+            templates={1: Conjunction()},
+            qids=np.arange(nq, dtype=np.int64) * 3 + 1,
+            qvecs=np.zeros((nq, 2)),
+            qtemplates=np.ones(nq, dtype=np.int64),
+        )
+        # Skewed per-query counts, heavy score ties, some queries empty.
+        qpos = np.minimum(g.geometric(0.12, n) - 1, nq - 3)
+        rows = self._rows(qpos, g.permutation(10 * n)[:n], g.integers(0, 4, n))
+        cells = engine._MERGE_CELLS
+        if per_chunk is not None:
+            cells = per_chunk * int(np.bincount(qpos).max())
+        with mock.patch.object(engine, "_MERGE_CELLS", cells):
+            res = merge_rows_to_result(rows, wl, k=k)
+        for qid, (ids, scores) in self._lexsort_reference(rows, wl, k).items():
+            np.testing.assert_array_equal(res.ids_by_qid[qid], ids)
+            np.testing.assert_array_equal(res.scores_by_qid[qid], scores)
 
 
 class TestPostFilter:

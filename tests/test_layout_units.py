@@ -1,10 +1,13 @@
 """Unit tests for layout planning (plan_hqi / plan_range / plan_flat)
 and the local materializer."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.core.kmeans import assign
+from repro.core.predicates import Cmp, Conjunction, In
+from repro.exec.engine import PartitionData
 from repro.index.layout import (
     CENTROID_COL,
     materialize_local,
@@ -13,7 +16,7 @@ from repro.index.layout import (
     plan_range,
 )
 from repro.kg.entities import kg_entities
-from repro.kg.workload import relatedqs_workload
+from repro.kg.workload import relatedqs_templates, relatedqs_workload
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +156,34 @@ class TestMaterializeLocal:
         p = parts[0]
         expected = pdf.loc[p.ids, "etype"].to_numpy()
         np.testing.assert_array_equal(p.attrs["etype"].to_numpy(), expected)
+
+
+# Atoms over every attribute kind a KG partition holds: the RelatedQS
+# templates plus string range compares and values absent from the data.
+_GUARD_PREDS = [
+    *relatedqs_templates().values(),
+    Conjunction([Cmp("etype", "<", "person")]),
+    Conjunction([Cmp("etype", ">=", "film"), Cmp("popularity", ">", 50.0)]),
+    Conjunction([In("etype", ["planet", "song"])]),
+    Conjunction([Cmp("etype", "=", "planet")]),
+]
+
+
+def assert_encoded_partition(part, raw_by_id):
+    """``part`` holds no object-dtype attribute column, and each guard
+    predicate's mask over it equals the mask over the dataset's raw rows."""
+    assert not [c for c in part.attrs.columns if part.attrs[c].dtype == object]
+    raw = raw_by_id.loc[part.ids, list(part.attrs.columns)].reset_index(drop=True)
+    for pred in _GUARD_PREDS:
+        np.testing.assert_array_equal(pred.mask(part.attrs), pred.mask(raw))
+
+
+class TestEncodedPartitionAttrs:
+    @pytest.mark.parametrize("kind", ["hqi", "flat"])
+    def test_built_and_unpacked_partitions_are_encoded(self, kg, wl, kind):
+        plan = plan_hqi(kg, wl, min_size=256) if kind == "hqi" else plan_flat(kg)
+        raw_by_id = kg.pdf.set_index("id")
+        for part in materialize_local(kg, plan).values():
+            assert isinstance(part.attrs["etype"].dtype, pd.CategoricalDtype)
+            assert_encoded_partition(part, raw_by_id)
+            assert_encoded_partition(PartitionData.unpack(part.pack()), raw_by_id)

@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.predicates import Cmp, Conjunction, In, NotNull
+from repro.core.predicates import Cmp, Conjunction, In, NotNull, dictionary_encode
 
 
 @pytest.fixture()
@@ -152,3 +152,83 @@ def test_sql_matches_pandas_mask_on_duckdb(pdf, pred):
         con.close()
     expected = pdf["_rid"][pred.mask(pdf)]
     assert got.tolist() == expected.tolist()
+
+
+def _duckdb_rids(pdf, pred):
+    """Row positions DuckDB selects with ``pred.to_sql()`` over ``pdf``."""
+    pdf = pdf.assign(_rid=np.arange(len(pdf)))
+    con = duckdb.connect()
+    try:
+        con.register("t", pdf)
+        return con.execute(
+            f"SELECT _rid FROM t WHERE {pred.to_sql()} ORDER BY _rid"
+        ).fetchdf()["_rid"].tolist()
+    finally:
+        con.close()
+
+
+class TestDictionaryEncodedMask:
+    """Masks over the dictionary-encoded frame an index partition holds
+    select the rows DuckDB selects over the raw frame."""
+
+    @pytest.fixture()
+    def raw(self, pdf):
+        return pdf.assign(empty=[None] * len(pdf))  # an all-NULL string column
+
+    def test_encoding_dtypes(self, raw):
+        enc = dictionary_encode(raw)
+        assert all(isinstance(enc[c].dtype, pd.CategoricalDtype)
+                   for c in ("etype", "empty"))
+        assert enc["empty"].cat.categories.empty
+        for c in ("etype", "empty"):  # codes decode to the raw values
+            assert [None if pd.isna(v) else v for v in enc[c]] == raw[c].tolist()
+        for c in ("height", "pop", "rank"):
+            pd.testing.assert_series_equal(enc[c], raw[c])
+
+    @pytest.mark.parametrize(
+        "pred",
+        [
+            Cmp("etype", "<", "person"),
+            Cmp("etype", ">=", "city"),
+            Cmp("etype", "<=", "zzz"),  # above every dictionary entry
+            Cmp("etype", ">", "aardvark"),  # below every dictionary entry
+            Cmp("etype", "=", "song"),
+            Cmp("etype", "=", "planet"),  # absent from the dictionary
+            In("etype", ["planet", "moon"]),  # absent from the dictionary
+            In("etype", ["song", "planet"]),
+            NotNull("etype"),  # None strings
+            Cmp("pop", ">", 20.0),  # NaN floats
+            Cmp("height", "=", 1.7),
+            In("pop", [10.0, 40.0, 99.0]),
+            NotNull("height"),
+            Cmp("rank", ">=", 3),  # int column
+            In("rank", [2, 7]),
+            NotNull("rank"),
+            NotNull("empty"),  # all-NULL column
+            Cmp("empty", "=", "song"),
+            Cmp("empty", "<", "song"),
+            In("empty", ["song"]),
+            Conjunction([In("etype", ["song", "person"]), NotNull("height")]),
+            Conjunction([Cmp("etype", ">", "b"), Cmp("pop", "<", 45.0)]),
+        ],
+    )
+    def test_matches_duckdb_on_raw_frame(self, raw, pred):
+        got = pred.mask(dictionary_encode(raw))
+        assert got.dtype == bool and got.shape == (len(raw),)
+        assert np.flatnonzero(got).tolist() == _duckdb_rids(raw, pred)
+
+    @pytest.mark.parametrize(
+        "pred",
+        [
+            Cmp("etype", "<", "person"),
+            In("etype", ["song"]),
+            NotNull("etype"),
+            Cmp("pop", ">", 20.0),
+            NotNull("height"),
+            In("rank", [2]),
+            Conjunction([Cmp("etype", "=", "song"), NotNull("pop")]),
+        ],
+    )
+    def test_empty_frame(self, raw, pred):
+        got = pred.mask(dictionary_encode(raw).iloc[:0])
+        assert got.dtype == bool and got.shape == (0,)

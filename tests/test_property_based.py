@@ -11,7 +11,7 @@ from repro.core.distance import pairwise_scores, topk_rows
 from repro.core import ivf
 from repro.core.ivf import PAD_ID, IVFIndex, SearchStats
 from repro.core.kmeans import kmeans
-from repro.core.predicates import Cmp, Conjunction, In, NotNull
+from repro.core.predicates import Cmp, Conjunction, In, NotNull, dictionary_encode
 from repro.core.qdtree import QueryGroup, construct_balanced_qdtree
 
 
@@ -19,33 +19,50 @@ from repro.core.qdtree import QueryGroup, construct_balanced_qdtree
 def frames(draw):
     n = draw(st.integers(5, 40))
     g = np.random.default_rng(draw(st.integers(0, 10_000)))
+    t = g.choice(["a", "b", "c"], n).astype(object)
+    # String NULLs: none, some, or all of the column.
+    t[g.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = None
     pdf = pd.DataFrame(
         {
             "x": np.where(g.random(n) < 0.7, g.integers(0, 5, n).astype(float), np.nan),
-            "t": g.choice(["a", "b", "c"], n),
+            "t": t,
+            "i": g.integers(0, 5, n),
         }
     )
     return pdf
 
 
+# String literals: "bb" and "z" never occur in a drawn frame, and "bb"
+# sorts between the present values "b" and "c".
+_STRINGS = ["a", "b", "bb", "c", "z"]
+
+
 @st.composite
 def predicates(draw):
-    kind = draw(st.sampled_from(["cmp", "in", "notnull", "conj"]))
+    kind = draw(st.sampled_from(["cmp", "in", "notnull", "conj", "str", "int"]))
     if kind == "cmp":
         return Cmp("x", draw(st.sampled_from(["<", "<=", ">", ">=", "="])),
                    float(draw(st.integers(0, 4))))
     if kind == "in":
-        vals = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+        vals = draw(st.lists(st.sampled_from(_STRINGS), min_size=1,
                              max_size=3, unique=True))
         return In("t", vals)
     if kind == "notnull":
-        return NotNull("x")
+        return NotNull(draw(st.sampled_from(["x", "t"])))
+    if kind == "str":
+        return Cmp("t", draw(st.sampled_from(["<", "<=", ">", ">=", "="])),
+                   draw(st.sampled_from(_STRINGS)))
+    if kind == "int":
+        if draw(st.booleans()):
+            return Cmp("i", draw(st.sampled_from(["<", ">=", "="])),
+                       draw(st.integers(0, 5)))
+        return In("i", draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)))
     return Conjunction([Cmp("x", ">=", 1.0), In("t", ["a", "b"])])
 
 
 class TestPredicateSqlMaskAgreement:
     @given(frames(), predicates())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_duckdb_sql_equals_pandas_mask(self, pdf, pred):
         pdf = pdf.assign(_rid=np.arange(len(pdf)))
         con = duckdb.connect()
@@ -57,6 +74,9 @@ class TestPredicateSqlMaskAgreement:
         finally:
             con.close()
         assert got == pdf["_rid"][pred.mask(pdf)].tolist()
+        # The dictionary-encoded frame an index partition holds selects the
+        # same rows as DuckDB over the raw frame.
+        assert got == pdf["_rid"][pred.mask(dictionary_encode(pdf))].tolist()
 
 
 def per_query_scan(idx, queries, k, probes, mask):
