@@ -1,8 +1,12 @@
-"""Benchmark scale configuration (DESIGN.md §6).
+"""Benchmark scale configuration (DESIGN.md §6) and the Spark driver's
+heap size.
 
 The paper runs 100M vectors on a 64-vCPU box; the reproduction runs
-~1000x smaller so the whole table suite finishes in minutes on 16
-cores. ``REPRO_SCALE=test`` shrinks further for smoke runs.
+~1000x smaller (``bench``) so the whole table suite finishes in minutes.
+``test`` shrinks further for smoke runs.
+
+This module imports no pyspark: the driver heap must be known before the
+JVM starts.
 """
 from __future__ import annotations
 
@@ -54,5 +58,19 @@ SCALES = {
 }
 
 
-def current_scale() -> Scale:
-    return SCALES[os.environ.get("REPRO_SCALE", "bench")]
+def driver_mem() -> str:
+    """Heap for the Spark driver JVM, e.g. ``"8g"``.
+
+    ``SPARK_DRIVER_MEM`` overrides it. Otherwise it is half of MemTotal in
+    whole GiB, clamped to 2–8g (2g when MemTotal cannot be read): the same
+    rule as the test command in ROADMAP.md. ``spark.driver.memory`` is read
+    when the JVM launches, so callers pass this before any SparkSession.
+    """
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(max(kib // (2 << 20), 2), 8)}g"

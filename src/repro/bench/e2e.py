@@ -84,6 +84,30 @@ def _postfilter_fetch_k(dataset, workload, k: int, cap: int = 256) -> int:
     return int(min(cap, max(4 * k, k / min(sels.values()))))
 
 
+def full_probe(dataset) -> int:
+    """An nprobe that scans every IVF list (each index has ~sqrt(n))."""
+    return int(np.sqrt(dataset.n)) + 1
+
+
+def tune(built, workload, gt, scale: Scale, fetch_k: int | None = None):
+    """§6.1's per-template nprobe tuning, shared by Tables 3 and 5: run a
+    sample of ``workload`` on the local engine and raise each template's
+    nprobe until it reaches ``scale.target_recall`` against ``gt``, up to
+    full probe. Returns the ``TuneOutcome``."""
+    sample = sample_workload(workload, scale.tune_per_template, seed=0)
+
+    def run_fn(cfg):
+        return run_queries(
+            built, sample, k=scale.k, nprobe_by_tid=cfg, engine="local",
+            fetch_k=fetch_k,
+        )
+
+    return tune_nprobe(
+        run_fn, sample, gt, target=scale.target_recall,
+        max_nprobe=full_probe(built.dataset),
+    )
+
+
 def run_approach(
     spark: SparkSession,
     name: str,
@@ -119,23 +143,12 @@ def run_approach(
         return row
     row.build_seconds = built.build_seconds
 
-    sample = sample_workload(workload, scale.tune_per_template, seed=0)
     fetch_k = (
         _postfilter_fetch_k(dataset, workload, scale.k)
         if approach == "postfilter"
         else None
     )
-    max_nprobe = int(np.sqrt(dataset.n)) + 1  # = scanning every list
-
-    def run_fn(cfg):
-        return run_queries(
-            built, sample, k=scale.k, nprobe_by_tid=cfg, engine="local",
-            fetch_k=fetch_k,
-        )
-
-    outcome = tune_nprobe(
-        run_fn, sample, gt, target=scale.target_recall, max_nprobe=max_nprobe
-    )
+    outcome = tune(built, workload, gt, scale, fetch_k=fetch_k)
     row.nprobe_by_tid = outcome.nprobe_by_tid
     if not outcome.reached:
         row.note = "recall target not reached"
@@ -188,18 +201,11 @@ def run_dataset(
     return rows
 
 
-_CACHE: dict[tuple, list[BenchRow]] = {}
-
-
 def run_all(
     spark: SparkSession, scale: Scale, datasets=DATASETS
 ) -> list[BenchRow]:
-    """All (dataset, approach) rows; cached per scale within a process so
-    the Table 3 and Table 4 benchmarks share one execution."""
-    key = (scale.name, tuple(datasets))
-    if key not in _CACHE:
-        rows: list[BenchRow] = []
-        for name in datasets:
-            rows.extend(run_dataset(spark, name, scale))
-        _CACHE[key] = rows
-    return _CACHE[key]
+    """All (dataset, approach) rows: Tables 3 and 4."""
+    rows: list[BenchRow] = []
+    for name in datasets:
+        rows.extend(run_dataset(spark, name, scale))
+    return rows

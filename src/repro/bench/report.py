@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.e2e import APPROACH_ORDER, DATASETS, BenchRow
+from repro.bench.e2e import APPROACH_ORDER, DATASETS, BenchRow, load_dataset
 
 _LABEL = {
     "hqi": "HQI",
@@ -138,24 +138,35 @@ def format_table5(rob_rows) -> str:
     return "\n".join(out)
 
 
-def format_table2(scale, datasets=DATASETS) -> str:
+def table2_rows(scale, datasets=DATASETS) -> list[dict]:
     """Evaluation datasets at reproduction scale (paper Table 2)."""
-    from repro.bench.e2e import load_dataset
+    rows = []
+    for name in datasets:
+        ds, wl, _ = load_dataset(name, scale)
+        rows.append({
+            "dataset": name,
+            "n": ds.n,
+            "nq": wl.nq,
+            "dim": ds.dim,
+            "dtype": "uint8" if name == "SIFT" else "f32",
+            "metric": ds.metric,
+            "attributes": (
+                "entity types" if name == "LP"
+                else "entity properties" if name == "RelatedQS"
+                else "synthetic A,B"
+            ),
+        })
+    return rows
 
+
+def format_table2(rows: list[dict]) -> str:
     out = [
         "Dataset    |      n |  n_q (total queries) | dim | dtype | metric | attributes",
         "-" * 82,
     ]
-    for name in datasets:
-        ds, wl, _ = load_dataset(name, scale)
-        dtype = "uint8" if name == "SIFT" else "f32"
-        attrs = (
-            "entity types" if name == "LP"
-            else "entity properties" if name == "RelatedQS"
-            else "synthetic A,B"
-        )
+    for r in rows:
         out.append(
-            f"{name:<10} | {ds.n:6d} | {wl.nq:20d} | {ds.dim:3d} | {dtype:5} |"
-            f" {ds.metric:6} | {attrs}"
+            f"{r['dataset']:<10} | {r['n']:6d} | {r['nq']:20d} | {r['dim']:3d} |"
+            f" {r['dtype']:5} | {r['metric']:6} | {r['attributes']}"
         )
     return "\n".join(out)

@@ -14,6 +14,7 @@ from repro.bench.report import (
     format_table3,
     format_table4,
     format_table5,
+    table2_rows,
 )
 from repro.bench.robustness import RobustnessRow, split_nprobe
 from repro.exec.recall import exhaustive_local
@@ -140,7 +141,7 @@ class TestReportUnits:
         assert text.count("full probe") == 1  # only the row that used it
 
     def test_table2_lists_all_datasets(self):
-        text = format_table2(SCALE)
+        text = format_table2(table2_rows(SCALE))
         for name in ("RelatedQS", "LP", "MSTuring", "SIFT", "YandexT2I"):
             assert name in text
         assert "uint8" in text and "ip" in text
