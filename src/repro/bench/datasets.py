@@ -55,21 +55,16 @@ def _mixture_vectors(
     return x.astype(np.float64)
 
 
-def bigann_lite(
-    name: str, *, n: int, seed: int = 0, with_attrs: bool = True
-) -> Dataset:
+def bigann_lite(name: str, *, n: int, seed: int = 0) -> Dataset:
     """Base vectors plus the two synthetic uniform attributes A and B."""
     spec = SPECS[name]
     rng = np.random.default_rng(seed)
     vecs = _mixture_vectors(rng, n, spec.dim, spec)
     pdf = pd.DataFrame({"id": np.arange(n, dtype=np.int64)})
     pdf["vec"] = list(vecs)
-    attr_cols = []
-    if with_attrs:
-        pdf["A"] = rng.random(n)
-        pdf["B"] = rng.random(n)
-        attr_cols = ["A", "B"]
-    return Dataset(name=name, metric=spec.metric, pdf=pdf, attr_cols=attr_cols)
+    pdf["A"] = rng.random(n)
+    pdf["B"] = rng.random(n)
+    return Dataset(name=name, metric=spec.metric, pdf=pdf, attr_cols=["A", "B"])
 
 
 def range_filter_templates() -> dict[int, Conjunction]:
@@ -98,18 +93,4 @@ def bigann_workload(
         qids=np.arange(len(tids), dtype=np.int64),
         qvecs=qvecs_full,
         qtemplates=tids,
-    )
-
-
-def vector_only_workload(dataset: Dataset, *, nq: int, seed: int = 100) -> Workload:
-    """Pure vector-search workload (empty constraint) for the Figure 7b
-    style microbenchmark of vector-similarity batching."""
-    spec = SPECS[dataset.name]
-    rng = np.random.default_rng(seed)
-    qvecs = _mixture_vectors(rng, nq, spec.dim, spec)
-    return Workload(
-        templates={0: Conjunction()},
-        qids=np.arange(nq, dtype=np.int64),
-        qvecs=qvecs,
-        qtemplates=np.zeros(nq, dtype=np.int64),
     )

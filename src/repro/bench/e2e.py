@@ -31,6 +31,7 @@ from repro.kg.workload import lp_workload, relatedqs_workload
 
 DATASETS = ("RelatedQS", "LP", "MSTuring", "SIFT", "YandexT2I")
 APPROACH_ORDER = ("hqi", "prefilter", "postfilter", "range")
+_FETCH_K_CAP = 256  # PostFilter's unfiltered candidates per query, at most
 
 
 @dataclass
@@ -77,11 +78,12 @@ def _template_selectivities(dataset, workload) -> dict[int, float]:
     }
 
 
-def _postfilter_fetch_k(dataset, workload, k: int, cap: int = 256) -> int:
-    """Strategy D needs ~k/selectivity unfiltered candidates; cap bounds
-    runtime (the paper's '-' entries arise when the cap is insufficient)."""
+def _postfilter_fetch_k(dataset, workload, k: int) -> int:
+    """Strategy D needs ~k/selectivity unfiltered candidates; a cap of
+    ``_FETCH_K_CAP`` bounds runtime (the paper's '-' entries arise when the
+    cap is insufficient)."""
     sels = _template_selectivities(dataset, workload)
-    return int(min(cap, max(4 * k, k / min(sels.values()))))
+    return int(min(_FETCH_K_CAP, max(4 * k, k / min(sels.values()))))
 
 
 def full_probe(dataset) -> int:

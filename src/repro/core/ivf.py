@@ -51,10 +51,6 @@ class SearchStats:
     tuples_scanned: int = 0
     distance_computations: int = 0
 
-    def add(self, other: "SearchStats") -> None:
-        self.tuples_scanned += other.tuples_scanned
-        self.distance_computations += other.distance_computations
-
 
 @dataclass
 class IVFIndex:

@@ -11,7 +11,7 @@ Every predicate supports three evaluation surfaces used throughout the
 reproduction:
 
 - ``to_sql()``  — a boolean SQL expression valid in both Spark SQL and
-  DuckDB (used by the distributed executor and the correctness oracle),
+  DuckDB (the DuckDB correctness oracle builds its WHERE clause from it),
 - ``mask(pdf)`` — a numpy boolean mask over a pandas frame (the filter
   bitmap ``search_partition`` pushes into the scan, in both engines),
 - structural equality / hashing — used by the qd-tree to deduplicate cut

@@ -129,9 +129,9 @@ def construct_balanced_qdtree(
     """Algorithm 1 (ConstructBalancedQDTree).
 
     ``atom_matrix`` is the (n_tuples × n_atoms) boolean evaluation of every
-    cut predicate over the database — computed once, in Spark, by the index
-    builder. Construction itself is a driver-side recursion over row-index
-    arrays (the matrix for 100K tuples × ~50 atoms is a few MB).
+    cut predicate over the database — computed once, with numpy, by
+    ``plan_hqi``. Construction itself is a driver-side recursion over
+    row-index arrays (the matrix for 100K tuples × ~50 atoms is a few MB).
     """
     atom_matrix = np.ascontiguousarray(atom_matrix, dtype=bool)
     n, n_atoms = atom_matrix.shape

@@ -2,10 +2,9 @@
 query workload (Definition 2).
 
 A ``Dataset`` holds the canonical pandas frame (deterministic, produced
-by the generators) and converts to a Spark DataFrame with an explicit
-schema — ``id: long, vec: array<double>, <attr columns>``. The pandas
-form also backs the index build and the DuckDB oracle; the Spark form
-backs distributed exhaustive search (Strategy A).
+by the generators): ``id``, ``vec`` (fixed-length lists) and the
+attribute columns, with NaN / ``None`` for a missing attribute. The index
+build, exhaustive search (Strategy A) and the DuckDB oracle all read it.
 
 A ``Workload`` is a set of hybrid queries in struct-of-arrays form:
 query vectors as one ``(nq, d)`` matrix plus a template id per query
@@ -19,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 from .predicates import Conjunction
 
@@ -55,34 +52,6 @@ class Dataset:
 
     def ids(self) -> np.ndarray:
         return self.pdf["id"].to_numpy(dtype=np.int64)
-
-    def attrs_pdf(self) -> pd.DataFrame:
-        return self.pdf[["id", *self.attr_cols]]
-
-    def spark_schema(self) -> T.StructType:
-        fields = [
-            T.StructField("id", T.LongType(), False),
-            T.StructField("vec", T.ArrayType(T.DoubleType(), False), False),
-        ]
-        for c in self.attr_cols:
-            dt = self.pdf[c].dtype
-            if dt == object:
-                fields.append(T.StructField(c, T.StringType(), True))
-            elif np.issubdtype(dt, np.integer):
-                fields.append(T.StructField(c, T.LongType(), True))
-            else:
-                fields.append(T.StructField(c, T.DoubleType(), True))
-        return T.StructType(fields)
-
-    def to_spark(self, spark: SparkSession) -> DataFrame:
-        out = self.pdf[["id", "vec", *self.attr_cols]].copy()
-        for c in self.attr_cols:
-            # NaN marks missing attributes in the canonical pandas frame;
-            # nullable Float64 makes Arrow emit true SQL NULLs so Spark's
-            # IS NOT NULL agrees with pandas notna().
-            if np.issubdtype(out[c].dtype, np.floating):
-                out[c] = out[c].astype("Float64")
-        return spark.createDataFrame(out, schema=self.spark_schema())
 
 
 @dataclass

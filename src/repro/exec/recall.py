@@ -9,17 +9,15 @@ correspondingly smaller ground-truth set; recall divides by its size.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.distance import pairwise_scores, topk_rows
-from repro.core.types import Dataset, Workload, vec_matrix
-from repro.exec.engine import RESULT_SCHEMA, RunResult, merge_rows_to_result
+from repro.core.types import Dataset, Workload
+from repro.exec.engine import RunResult
+
+_CHUNK = 4096  # queries per score matrix
 
 
-def exhaustive_local(
-    dataset: Dataset, workload: Workload, k: int, *, chunk: int = 4096
-) -> RunResult:
+def exhaustive_local(dataset: Dataset, workload: Workload, k: int) -> RunResult:
     """Exact per-template brute force: filter, then a chunked matmul scan."""
     result = RunResult()
     vecs = dataset.vecs()
@@ -35,8 +33,8 @@ def exhaustive_local(
                 result.ids_by_qid[int(workload.qids[qp])] = np.empty(0, np.int64)
                 result.scores_by_qid[int(workload.qids[qp])] = np.empty(0)
             continue
-        for start in range(0, len(qpos), chunk):
-            qp = qpos[start : start + chunk]
+        for start in range(0, len(qpos), _CHUNK):
+            qp = qpos[start : start + _CHUNK]
             scores = pairwise_scores(
                 workload.qvecs[qp], vecs[cand], dataset.metric
             )
@@ -46,51 +44,6 @@ def exhaustive_local(
                 result.ids_by_qid[qid] = top_ids[i]
                 result.scores_by_qid[qid] = top_scores[i]
     return result
-
-
-def exhaustive_spark(
-    spark: SparkSession, dataset: Dataset, workload: Workload, k: int
-) -> RunResult:
-    """Distributed Strategy A: each data chunk emits its local top-k per
-    query via mapInPandas; ``merge_rows_to_result`` keeps the global top-k."""
-    df = dataset.to_spark(spark)
-    metric = dataset.metric
-    templates = workload.templates
-    qvecs = workload.qvecs
-    qtemplates = workload.qtemplates
-    attr_cols = dataset.attr_cols
-
-    def fn(it):
-        for pdf_chunk in it:
-            ids = pdf_chunk["id"].to_numpy(dtype=np.int64)
-            vecs = vec_matrix(pdf_chunk["vec"])
-            attrs = pdf_chunk[attr_cols]
-            for tid in np.unique(qtemplates):
-                template = templates[int(tid)]
-                cand = (
-                    np.flatnonzero(template.mask(attrs))
-                    if len(template)
-                    else np.arange(len(pdf_chunk))
-                )
-                if not len(cand):
-                    continue
-                qpos = np.flatnonzero(qtemplates == tid)
-                scores = pairwise_scores(qvecs[qpos], vecs[cand], metric)
-                top_ids, top_scores = topk_rows(scores, ids[cand], k)
-                n = top_ids.size
-                yield pd.DataFrame(
-                    {
-                        "qpos": np.repeat(qpos, top_ids.shape[1]),
-                        "tid": np.full(n, tid),
-                        "id": top_ids.ravel(),
-                        "score": top_scores.ravel(),
-                        "scanned": np.zeros(n, dtype=np.int64),
-                        "dcomp": np.zeros(n, dtype=np.int64),
-                    }
-                )
-
-    rows = df.mapInPandas(fn, schema=RESULT_SCHEMA).toPandas()
-    return merge_rows_to_result(rows, workload, k)
 
 
 def recall_at_k(result: RunResult, gt: RunResult, qids=None) -> float:

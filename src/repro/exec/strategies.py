@@ -39,6 +39,7 @@ from repro.index.layout import (
 )
 
 APPROACHES = ("hqi", "prefilter", "postfilter", "range")
+RANGE_ATTR = "A"  # Strategy C's partitioning attribute
 
 
 class RangeNotApplicable(ValueError):
@@ -79,7 +80,6 @@ def build_index(
     m: int = 0,
     min_size: int = 1024,
     n_buckets: int = 8,
-    range_attr: str = "A",
     range_parts: int = 16,
     seed: int = 0,
 ) -> BuiltIndex:
@@ -96,8 +96,8 @@ def build_index(
             )
         elif approach == "range":
             if workload is not None:
-                _check_range_applicable(workload, range_attr)
-            plan = plan_range(dataset, attr=range_attr, n_parts=range_parts)
+                _check_range_applicable(workload, RANGE_ATTR)
+            plan = plan_range(dataset, attr=RANGE_ATTR, n_parts=range_parts)
         else:  # prefilter / postfilter / hqi-without-history (LP)
             plan = plan_flat(dataset, n_buckets=n_buckets, seed=seed)
         built = BuiltIndex(approach, dataset, plan, materialize_local(dataset, plan))
@@ -115,17 +115,14 @@ def run_queries(
     nprobe_by_tid: dict[int, int],
     engine: str = "local",
     spark: SparkSession | None = None,
-    batch_vectors: bool | None = None,
     fetch_k: int | None = None,
 ) -> RunResult:
     """Execute a workload against a built index.
 
-    ``batch_vectors`` defaults to True for HQI (Algorithm 3) and False
-    for the baselines (per-query FAISS-style scans). ``fetch_k`` is
-    PostFilter's unfiltered candidate count (defaults to 4k).
+    HQI batches query vectors (Algorithm 3); the baselines run per-query
+    FAISS-style scans. ``fetch_k`` is PostFilter's unfiltered candidate
+    count (defaults to 4k).
     """
-    if batch_vectors is None:
-        batch_vectors = built.approach == "hqi"
     is_post = built.approach == "postfilter"
     params = ExecParams(
         k=(fetch_k or 4 * k) if is_post else k,
@@ -133,7 +130,7 @@ def run_queries(
         templates=workload.templates,
         nprobe_by_tid=nprobe_by_tid,
         qvecs=workload.qvecs,
-        batch_vectors=batch_vectors,
+        batch_vectors=built.approach == "hqi",
         apply_filter=not is_post,
     )
     with Timer() as t:

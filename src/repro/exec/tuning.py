@@ -46,10 +46,9 @@ def tune_nprobe(
     *,
     target: float = 0.8,
     max_nprobe: int = 4096,
-    start: int = 1,
 ) -> TuneOutcome:
     tids = [int(t) for t in np.unique(sample.qtemplates)]
-    nprobe = {t: start for t in tids}
+    nprobe = {t: 1 for t in tids}
     pending = set(tids)
     best_recall: dict[int, float] = {t: 0.0 for t in tids}
     while True:

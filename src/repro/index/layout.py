@@ -29,6 +29,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.distance import pairwise_scores
 from repro.core.kmeans import kmeans
 from repro.core.predicates import In, dictionary_encode
 from repro.core.qdtree import QDTree, QueryGroup, construct_balanced_qdtree, extract_atoms
@@ -61,9 +62,17 @@ class PartitionPlan:
 
 
 # ------------------------------------------------------------------ planning
+def nearest_routing_centroids(
+    qvecs: np.ndarray, routing_centroids: np.ndarray, m: int
+) -> np.ndarray:
+    """Each query's m nearest §4.1.1 routing centroids, as ascending ids.
+    L2 proximity, matching the tuple assignment in ``kmeans``."""
+    d = pairwise_scores(qvecs, routing_centroids, "l2")
+    return np.sort(np.argsort(d, axis=1, kind="stable")[:, :m], axis=1)
+
+
 def _query_groups_for_tree(
     workload: Workload,
-    atoms: list,
     atom_index: dict,
     *,
     m: int,
@@ -72,11 +81,7 @@ def _query_groups_for_tree(
     """Distinct (template, centroid-set) groups weighted by multiplicity."""
     groups: dict[tuple, int] = {}
     if m > 0:
-        # L2 centroid proximity, matching the tuple assignment in assign().
-        from repro.core.distance import pairwise_scores
-
-        d = pairwise_scores(workload.qvecs, routing_centroids, "l2")
-        qc = np.argsort(d, axis=1, kind="stable")[:, :m]
+        qc = nearest_routing_centroids(workload.qvecs, routing_centroids, m)
     for qpos in range(workload.nq):
         tid = int(workload.qtemplates[qpos])
         and_idxs = tuple(
@@ -124,7 +129,7 @@ def plan_hqi(
     atom_index = {a: i for i, a in enumerate(atoms)}
     matrix = np.stack([a.mask(eval_pdf) for a in atoms], axis=1)
     groups = _query_groups_for_tree(
-        workload, atoms, atom_index, m=m, routing_centroids=routing_centroids
+        workload, atom_index, m=m, routing_centroids=routing_centroids
     )
     tree = construct_balanced_qdtree(matrix, atoms, groups, min_size=min_size)
     pid_of_row = np.empty(len(pdf), dtype=np.int64)

@@ -57,18 +57,13 @@ ATTR_COLS = ["etype"] + [a for a, _, _ in ATTR_SPECS]
 
 _SUBCLUSTERS = 8  # Gaussian-mixture components per entity type
 _NOISE = 0.6  # within-cluster noise: spreads neighbors across IVF lists
+_MIN_FEASIBLE = 24  # entities that carry each attribute, at least
 
 
-def kg_entities(
-    *,
-    n: int,
-    dim: int,
-    seed: int = 0,
-    min_feasible: int = 24,
-) -> Dataset:
+def kg_entities(*, n: int, dim: int, seed: int = 0) -> Dataset:
     """Generate the synthetic KG entity table with IP-metric embeddings.
 
-    ``min_feasible`` floors every attribute's carrier count so that even
+    ``_MIN_FEASIBLE`` floors every attribute's carrier count so that even
     the rarest template (T1) has enough matching entities for top-10
     search at small reproduction scales.
     """
@@ -86,8 +81,8 @@ def kg_entities(
             p = 0.0
         else:
             # P(present | carrier) to reach the joint selectivity target,
-            # floored so at least min_feasible entities carry the attribute.
-            p = min(1.0, max(target_sel * n, min_feasible) / n_carrier)
+            # floored so at least _MIN_FEASIBLE entities carry the attribute.
+            p = min(1.0, max(target_sel * n, _MIN_FEASIBLE) / n_carrier)
         present = carrier_mask & (g.random(n) < p)
         vals = np.where(present, g.random(n) * 100.0, np.nan)
         cols[attr] = vals

@@ -8,7 +8,6 @@ from repro.bench.datasets import (
     bigann_lite,
     bigann_workload,
     range_filter_templates,
-    vector_only_workload,
 )
 from repro.kg.entities import ATTR_COLS, TYPE_SHARES, kg_entities
 from repro.kg.workload import (
@@ -72,7 +71,7 @@ class TestKGEntities:
         assert pdf.loc[pdf["popularity"].notna(), "etype"].nunique() > 5
 
     def test_min_feasible_floor(self):
-        small = kg_entities(n=2_000, dim=4, seed=1, min_feasible=24)
+        small = kg_entities(n=2_000, dim=4, seed=1)
         t = relatedqs_templates()[1]  # rarest template
         assert t.mask(small.pdf).sum() >= 20  # ~24 modulo sampling noise
 
@@ -184,9 +183,3 @@ class TestBigannLite:
         assert all(counts[t] == 30 for t in range(1, 21))
         # Same 30 vectors repeated for every filter.
         np.testing.assert_array_equal(w.qvecs[:30], w.qvecs[30:60])
-
-    def test_vector_only_workload(self):
-        ds = bigann_lite("msturing", n=1000, seed=0)
-        w = vector_only_workload(ds, nq=40, seed=1)
-        assert w.nq == 40
-        assert len(w.templates[0]) == 0  # empty constraint = TRUE

@@ -174,11 +174,6 @@ class TestStats:
         # distance computations are identical work either way
         assert batched.distance_computations == per_query.distance_computations
 
-    def test_stats_add(self):
-        a, b = SearchStats(1, 2), SearchStats(10, 20)
-        a.add(b)
-        assert (a.tuples_scanned, a.distance_computations) == (11, 22)
-
 
 class TestPadding:
     def test_queries_with_no_candidates_padded(self, index):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.bench.datasets import bigann_lite, bigann_workload
+from repro.exec.engine import ExecParams
+from repro.exec.local_engine import run_local
 from repro.exec.recall import exhaustive_local, recall_at_k, recall_by_template
 from repro.exec.strategies import (
     RangeNotApplicable,
@@ -110,12 +112,25 @@ class TestExactnessAtFullProbe:
         _assert_same_results(res, ms_gt, ms_load)
 
 
+def _run_batching(built, workload, nprobe_by_tid, batch_vectors):
+    """``run_local`` with vector batching forced on or off."""
+    params = ExecParams(
+        k=K,
+        metric=built.dataset.metric,
+        templates=workload.templates,
+        nprobe_by_tid=nprobe_by_tid,
+        qvecs=workload.qvecs,
+        batch_vectors=batch_vectors,
+    )
+    return run_local(built.parts, built.plan, workload, params)
+
+
 class TestBatchingIsPureOptimization:
     def test_hqi_batch_on_off_identical(self, kg, kg_load):
         built = build_index("hqi", kg, kg_load, min_size=256)
         np_cfg = _nprobe_all(kg_load, 4)
-        a = run_queries(built, kg_load, k=K, nprobe_by_tid=np_cfg, batch_vectors=True)
-        b = run_queries(built, kg_load, k=K, nprobe_by_tid=np_cfg, batch_vectors=False)
+        a = _run_batching(built, kg_load, np_cfg, batch_vectors=True)
+        b = _run_batching(built, kg_load, np_cfg, batch_vectors=False)
         _assert_same_results(a, b, kg_load)
         # Same distance work, fewer shared scans when batched.
         assert a.distance_computations == b.distance_computations
@@ -124,8 +139,8 @@ class TestBatchingIsPureOptimization:
     def test_prefilter_batch_on_off_identical(self, ms, ms_load):
         built = build_index("prefilter", ms)
         np_cfg = _nprobe_all(ms_load, 8)
-        a = run_queries(built, ms_load, k=K, nprobe_by_tid=np_cfg, batch_vectors=True)
-        b = run_queries(built, ms_load, k=K, nprobe_by_tid=np_cfg, batch_vectors=False)
+        a = _run_batching(built, ms_load, np_cfg, batch_vectors=True)
+        b = _run_batching(built, ms_load, np_cfg, batch_vectors=False)
         _assert_same_results(a, b, ms_load)
 
 
@@ -169,7 +184,7 @@ class TestPostFilter:
 class TestRangeApplicability:
     def test_range_rejected_for_kg_templates(self, kg, kg_load):
         with pytest.raises(RangeNotApplicable):
-            build_index("range", kg, kg_load, range_attr="A")
+            build_index("range", kg, kg_load)
 
     def test_range_prunes_a_filters_not_b_filters(self, ms, ms_load):
         """Strategy C prunes only queries over the partitioning attribute

@@ -5,6 +5,12 @@ import pandas as pd
 import pytest
 
 from repro.core.predicates import Cmp, Conjunction, In, NotNull, dictionary_encode
+from repro.kg.entities import kg_entities
+
+
+@pytest.fixture(scope="module")
+def kg_pdf() -> pd.DataFrame:
+    return kg_entities(n=2_500, dim=4, seed=0).pdf.drop(columns="vec")
 
 
 @pytest.fixture()
@@ -136,22 +142,19 @@ class TestConjunction:
         Conjunction([Cmp("etype", "=", "person"), NotNull("height")]),
         Conjunction([In("etype", ["song", "city"]), Cmp("pop", ">", 5.0)]),
         Conjunction(),
+        # KG templates (pred7 and the empty one also run on the KG frame).
+        Conjunction([In("etype", ["song", "company"])]),
+        Conjunction([NotNull("popularity")]),
     ],
 )
-def test_sql_matches_pandas_mask_on_duckdb(pdf, pred):
+def test_sql_matches_pandas_mask_on_duckdb(pdf, kg_pdf, pred):
     """to_sql() and mask() must agree — DuckDB evaluates the SQL over the
-    same frame and the selected id sets are compared."""
-    pdf = pdf.assign(_rid=np.arange(len(pdf)))
-    con = duckdb.connect()
-    try:
-        con.register("t", pdf)
-        got = con.execute(
-            f"SELECT _rid FROM t WHERE {pred.to_sql()} ORDER BY _rid"
-        ).fetchdf()["_rid"]
-    finally:
-        con.close()
-    expected = pdf["_rid"][pred.mask(pdf)]
-    assert got.tolist() == expected.tolist()
+    same frame and the selected row sets are compared, on each frame that
+    has the predicate's attributes."""
+    frames = [f for f in (pdf, kg_pdf) if pred.attrs() <= set(f.columns)]
+    assert frames
+    for frame in frames:
+        assert _duckdb_rids(frame, pred) == np.flatnonzero(pred.mask(frame)).tolist()
 
 
 def _duckdb_rids(pdf, pred):

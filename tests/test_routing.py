@@ -7,11 +7,11 @@ import pytest
 
 from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.core.distance import pairwise_scores
-from repro.core.predicates import Cmp, Conjunction, NotNull
+from repro.core.predicates import Cmp, Conjunction, In, NotNull
 from repro.core.types import Workload
 from repro.exec.engine import ExecParams
 from repro.exec.routing import _range_pids, route_queries
-from repro.index.layout import plan_flat, plan_hqi, plan_range
+from repro.index.layout import CENTROID_COL, plan_flat, plan_hqi, plan_range
 from repro.kg.entities import kg_entities
 from repro.kg.workload import relatedqs_workload
 
@@ -24,6 +24,26 @@ def ms():
 @pytest.fixture(scope="module")
 def ms_load(ms):
     return bigann_workload(ms, nq=10, seed=1)
+
+
+def _rows(routed):
+    return list(routed[["pid", "qpos", "tid"]].itertuples(index=False, name=None))
+
+
+def _loop_rows(workload, pids_of_query, by_template=True):
+    """Per-query reference for the routed rows: by template, then query
+    position (or by position only), each query's pids in list order. Row
+    order decides which BLAS tile a query's scores fall in."""
+    qpos = (
+        np.argsort(workload.qtemplates, kind="stable")
+        if by_template
+        else np.arange(workload.nq)
+    )
+    return [
+        (p, int(q), int(workload.qtemplates[q]))
+        for q in qpos
+        for p in pids_of_query(int(q))
+    ]
 
 
 def _params(workload, metric, nprobe=4, **kw):
@@ -63,6 +83,13 @@ class TestRangeRouting:
     def test_non_range_predicate_routes_everywhere(self, plan):
         t = Conjunction([NotNull("A")])
         assert _range_pids(t, plan) == list(range(8))
+
+    def test_rows_match_per_query_loop(self, plan, ms, ms_load):
+        routed = route_queries(plan, ms_load, _params(ms_load, ms.metric))
+        assert _rows(routed) == _loop_rows(
+            ms_load,
+            lambda q: _range_pids(ms_load.templates[int(ms_load.qtemplates[q])], plan),
+        )
 
     def test_routing_complete_for_matching_rows(self, plan, ms, ms_load):
         """Every row matching a template must live in a routed bucket."""
@@ -185,10 +212,6 @@ class TestHQIRouting:
         only shrink a query's routed partition set — never widen it."""
         plan = plan_hqi(kg, wl, m=10, min_size=256, seed=0)
         tree = plan.tree
-        from repro.core.predicates import In
-        from repro.index.layout import CENTROID_COL
-        from repro.core.distance import pairwise_scores
-
         d = pairwise_scores(wl.qvecs, plan.routing_centroids, "l2")
         qc = np.argsort(d, axis=1, kind="stable")[:, :10]
         for qpos in range(0, wl.nq, 13):
@@ -201,6 +224,22 @@ class TestHQIRouting:
             )
             without_c = tree.route_group(tree.group_for(atoms))
             assert set(with_c) <= set(without_c)
+
+    @pytest.mark.parametrize("m", [0, 10])
+    def test_rows_match_per_query_loop(self, kg, wl, m):
+        plan = plan_hqi(kg, wl, m=m, min_size=256, seed=0)
+        routed = route_queries(plan, wl, _params(wl, kg.metric))
+        tree = plan.tree
+        if m:
+            d = pairwise_scores(wl.qvecs, plan.routing_centroids, "l2")
+            qc = np.sort(np.argsort(d, axis=1, kind="stable")[:, :m], axis=1)
+
+        def pids_of_query(q):
+            atoms = list(wl.templates[int(wl.qtemplates[q])])
+            centroids = [In(CENTROID_COL, [int(c)]) for c in qc[q]] if m else []
+            return tree.route_group(tree.group_for(atoms, centroids))
+
+        assert _rows(routed) == _loop_rows(wl, pids_of_query, by_template=m == 0)
 
     def test_selective_template_routes_to_few_partitions(self, kg, wl):
         plan = plan_hqi(kg, wl, m=0, min_size=256)

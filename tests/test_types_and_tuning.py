@@ -44,15 +44,6 @@ class TestDataset:
         ds = _dataset()
         assert ds.vecs() is ds.vecs()
 
-    def test_schema_types(self, spark):
-        ds = _dataset()
-        df = ds.to_spark(spark)
-        dtypes = dict(df.dtypes)
-        assert dtypes["etype"] == "string"
-        assert dtypes["h"] == "double"
-        assert dtypes["rank"] == "bigint"
-        assert dtypes["vec"] == "array<double>"
-
     def test_vec_matrix_shape(self):
         ds = _dataset()
         assert vec_matrix(ds.pdf["vec"]).shape == (20, 3)
