@@ -5,15 +5,15 @@ qd-tree partition (§4.1.3) and that all baselines use globally. Both scan
 modes the evaluation compares read the same candidates — the rows of each
 query's probed lists that pass a boolean ``mask`` over the indexed rows
 (the bitmap pushdown of §4.2), in probe order — and return the same top-k
-per query. Probes arrive as flat arrays ``(lists, n_probes)`` — each
-query's list ids in probe order, concatenated in query order, and each
-query's count — or are the ``nprobe`` nearest centroids when omitted.
-One routine, ``_scan``, serves both: it compacts the mask into
-the passing rows once per call, lays out each query's candidates, fills a
-per-query candidate buffer padded with ``PAD_ID`` / ``inf`` and selects
-the top-k once per chunk of queries (a chunk's buffer stays within a fixed
-cell budget, so memory stays bounded at full probe). The modes differ only
-in the score kernel:
+per query. A query probes its ``nprobe`` nearest lists, ordered by
+(centroid score, list id); ``nprobe`` is one count for all queries or one
+count per query (0 probes nothing). One routine, ``_scan``, serves both
+modes: it picks every query's lists with one stable sort, compacts the
+mask into the passing rows once per call, lays out each query's
+candidates, fills a per-query candidate buffer padded with ``PAD_ID`` /
+``inf`` and selects the top-k once per chunk of queries (a chunk's buffer
+stays within a fixed cell budget, so memory stays bounded at full probe).
+The modes differ only in the score kernel:
 
 - ``search`` — per-query posting-list scans, modeling the online
   FAISS-style traversal used by the PreFilter / PostFilter / Range
@@ -124,62 +124,53 @@ class IVFIndex:
         return len(self.ids)
 
     def nearest_centroids(self, q: np.ndarray, nprobe: int) -> np.ndarray:
-        """Indices of the ``nprobe`` nearest centroids per query row.
+        """Indices of the ``nprobe`` nearest centroids per query row,
+        ordered by (score, list id).
 
         Centroid proximity always uses the index metric so probe order
-        matches the scoring order.
+        matches the scoring order. One stable sort breaks score ties by
+        list id, so a shard that stores a stride of a larger centroid
+        table in order picks, on exact ties, what the whole table would.
         """
-        nprobe = min(nprobe, self.n_lists)
         scores = pairwise_scores(np.atleast_2d(q), self.centroids, self.metric)
-        probes = np.argpartition(scores, nprobe - 1, axis=1)[:, :nprobe]
-        # Order probes best-first for deterministic traversal.
-        row = np.arange(len(probes))[:, None]
-        return probes[row, np.argsort(scores[row, probes], axis=1, kind="stable")]
-
+        return np.argsort(scores, axis=1, kind="stable")[:, :nprobe]
 
     # ---------------------------------------------------------------- search
     def search(
         self,
         queries: np.ndarray,
         k: int,
-        nprobe: int,
+        nprobe: int | np.ndarray,
         mask: np.ndarray | None = None,
         stats: SearchStats | None = None,
-        probes: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-query scan (baseline mode). Returns padded ``(ids, scores)``
         arrays of shape ``(nq, k)``; empty slots hold ``PAD_ID`` / ``inf``.
 
-        ``probes`` optionally overrides probe selection with explicit
-        local list indices as flat arrays ``(lists, n_probes)``: query
-        ``i`` probes the next ``n_probes[i]`` entries of ``lists``, in
-        order (a count may be 0). It is used when probes were computed
-        against the *global* centroid table on the driver and this index
-        holds only a shard of the lists.
+        ``nprobe`` is one count for every query or one count per query;
+        counts above ``n_lists`` probe every list.
         """
-        return self._scan(queries, k, nprobe, mask, stats, probes, batched=False)
+        return self._scan(queries, k, nprobe, mask, stats, batched=False)
 
     def batch_search(
         self,
         queries: np.ndarray,
         k: int,
-        nprobe: int,
+        nprobe: int | np.ndarray,
         mask: np.ndarray | None = None,
         stats: SearchStats | None = None,
-        probes: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Algorithm 3: same arguments and output as ``search``, but each
         probed list is scored once against the group of queries probing it."""
-        return self._scan(queries, k, nprobe, mask, stats, probes, batched=True)
+        return self._scan(queries, k, nprobe, mask, stats, batched=True)
 
     def _scan(
         self,
         queries: np.ndarray,
         k: int,
-        nprobe: int,
+        nprobe: int | np.ndarray,
         mask: np.ndarray | None,
         stats: SearchStats | None,
-        probes: tuple[np.ndarray, np.ndarray] | None,
         batched: bool,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Score every query's candidates and select its top-k.
@@ -192,12 +183,12 @@ class IVFIndex:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         nq = len(queries)
         stats = stats if stats is not None else SearchStats()
-        if probes is None:
-            nearest = self.nearest_centroids(queries, nprobe)  # (nq, nprobe)
-            probes = nearest.ravel(), np.full(nq, nearest.shape[1])
-        lists, n_probes = (np.asarray(a, dtype=np.int64) for a in probes)
-        if len(n_probes) != nq or n_probes.sum() != len(lists):
-            raise ValueError("probes must be (lists, n_probes), one count per query")
+        # Query i probes its first n_probes[i] nearest lists; ``lists``
+        # concatenates them in query order.
+        n_probes = np.minimum(np.broadcast_to(nprobe, nq), self.n_lists)
+        width = int(n_probes.max(initial=0))
+        nearest = self.nearest_centroids(queries, width)
+        lists = nearest[np.arange(width) < n_probes[:, None]]
         kept = np.arange(self.n_rows) if mask is None else np.flatnonzero(mask)
         kept_offsets = np.searchsorted(kept, self.list_offsets)
         # Every probed list's entries are visited (bitmap tests): once per

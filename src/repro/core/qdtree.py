@@ -79,9 +79,20 @@ class QDTree:
         self._atom_index = {a: i for i, a in enumerate(self.atoms)}
 
     # ---------------------------------------------------------------- routing
-    def route_group(self, g: QueryGroup) -> list[int]:
-        """Pids of all leaves whose semantic description subsumes ``g``."""
-        return [lf.pid for lf in self.leaves if _routed(lf.any_true, g)]
+    def route_groups(self, groups: list[QueryGroup]) -> np.ndarray:
+        """``(len(groups), n_leaves)`` bool: ``[i, pid]`` is set iff leaf
+        ``pid``'s semantic description subsumes ``groups[i]`` (as
+        ``_routed`` decides), for all groups at once against one leaves ×
+        atoms satisfiability matrix."""
+        sat = np.array([lf.any_true for lf in self.leaves], dtype=bool).T
+        need = np.zeros((len(groups), len(self.atoms)), dtype=bool)
+        some = np.zeros_like(need)
+        for i, g in enumerate(groups):
+            need[i, list(g.and_idxs)] = True
+            some[i, list(g.or_idxs)] = True
+        # No AND atom unsatisfiable, and some OR atom satisfiable when the
+        # group has any.
+        return ~(need @ ~sat) & ((some @ sat) | ~some.any(axis=1, keepdims=True))
 
     def group_for(self, and_atoms, or_atoms=()) -> QueryGroup:
         """Build a QueryGroup from Atom objects. Atoms outside the cut set

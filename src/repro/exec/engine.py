@@ -22,11 +22,12 @@ and each group goes through the IVF index's one scan-and-select routine.
 (query-group × posting-list) block; off, one score row per query,
 modeling the FAISS-style online traversal of the baselines.
 
-Data passes between the steps as flat arrays: a template's routed lists
-reach the scan as ``(lists, n_probes)``, each ``search_partition`` call
+Data passes between the steps as flat arrays: each routed row carries how
+many lists its query probes in that partition (``nprobe``), so a
+template's rows reach the scan as one count per query and the partition
+picks that many of its own nearest lists; each ``search_partition`` call
 returns one frame built from column arrays, and the merge slices each
-query's top-k out of the sorted rows. A template missing from
-``nprobe_by_tid`` raises ``KeyError``.
+query's top-k out of the sorted rows.
 """
 from __future__ import annotations
 
@@ -83,24 +84,11 @@ class ExecParams:
             raise KeyError(f"nprobe_by_tid has no entry for template {tid}") from None
 
 
-def compact_lists(
-    global_lists: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Renumber the global posting-list ids of a bucket's rows densely.
-
-    Returns ``(labels, local_centroids, global_list_ids)``: local list ``l``
-    is global list ``global_list_ids[l]`` (ascending), with centroid row
-    ``local_centroids[l]``, and ``labels`` holds each row's local list.
-    """
-    present, labels = np.unique(global_lists, return_inverse=True)
-    return labels, centroids[present], present
-
-
 # ``PartitionData.pack``'s row, as a Spark schema: the cached Spark layout,
 # the Spark scan and the persisted ``hqi`` DataSource all hold these rows.
 PACKED_SCHEMA = (
     "pid bigint, dim bigint, ids binary, vecs binary, labels binary, "
-    "centroids binary, global_list_ids binary, attrs binary"
+    "centroids binary, attrs binary"
 )
 
 
@@ -119,7 +107,6 @@ class PartitionData:
     centroids: np.ndarray  # (L, d) — row l is local list l's centroid
     attrs: pd.DataFrame  # attribute columns, aligned with ids/vecs rows;
     # strings dictionary-encoded (``predicates.dictionary_encode``)
-    global_list_ids: np.ndarray | None = None  # local l -> global list id
 
     def __post_init__(self):
         if np.any(self.labels[1:] < self.labels[:-1]):
@@ -135,9 +122,6 @@ class PartitionData:
             "vecs": _le_bytes(self.vecs, "<f8"),
             "labels": _le_bytes(self.labels, "<i8"),
             "centroids": _le_bytes(self.centroids, "<f8"),
-            "global_list_ids": None
-            if self.global_list_ids is None
-            else _le_bytes(self.global_list_ids, "<i8"),
             "attrs": to_ipc(self.attrs),
         }
 
@@ -146,7 +130,6 @@ class PartitionData:
         """Inverse of ``pack``; ``row`` is any mapping of its fields (a
         dict, a Spark ``Row``). Arrays are views of the row's bytes."""
         dim = int(row["dim"])
-        global_ids = row["global_list_ids"]
         return cls(
             pid=int(row["pid"]),
             ids=np.frombuffer(row["ids"], "<i8"),
@@ -154,9 +137,6 @@ class PartitionData:
             labels=np.frombuffer(row["labels"], "<i8"),
             centroids=np.frombuffer(row["centroids"], "<f8").reshape(-1, dim),
             attrs=from_ipc(row["attrs"]),
-            global_list_ids=None
-            if global_ids is None
-            else np.frombuffer(global_ids, "<i8"),
         )
 
     def index(self, metric: str) -> IVFIndex:
@@ -191,7 +171,7 @@ def from_ipc(buf) -> pd.DataFrame:
 
 def search_partition(
     data: PartitionData,
-    routed: pd.DataFrame,  # columns: qpos, tid, and optionally "lists"
+    routed: pd.DataFrame,  # columns: qpos, tid, nprobe
     params: ExecParams,
 ) -> pd.DataFrame:
     """Run all queries routed to one partition; returns RESULT_COLUMNS rows.
@@ -200,35 +180,17 @@ def search_partition(
     within a template). Each template contributes its result rows
     (``id >= 0``, by query, then rank) followed by one stats row
     (``id == -1``) carrying the partition's tuples-scanned /
-    distance-computation counters. Routed ``lists`` hold global list ids;
-    they reach the scan as flat ``(lists, n_probes)`` arrays.
+    distance-computation counters. Each query probes its routed
+    ``nprobe`` nearest lists of this partition.
     """
     idx = data.index(params.metric)
     # Routed rows by template; template j owns rows [bounds[j], bounds[j+1]).
     tids = routed["tid"].to_numpy(dtype=np.int64)
     order = np.argsort(tids, kind="stable")
     tids, qpos_all = tids[order], routed["qpos"].to_numpy(dtype=np.int64)[order]
+    nprobe_all = routed["nprobe"].to_numpy(dtype=np.int64)[order]
     uniq, starts = np.unique(tids, return_index=True)
     bounds = np.append(starts, len(tids)).tolist()
-    lists = None
-    if "lists" in routed.columns and routed["lists"].notna().any():
-        assert data.global_list_ids is not None
-        # Global -> local list ids in one lookup; lists this bucket does
-        # not store (no rows) are dropped, and scan nothing. Row r probes
-        # lists[probe_off[r]:probe_off[r + 1]].
-        routed_lists = routed["lists"].to_numpy()[order]
-        flat = np.concatenate(routed_lists)
-        local = np.searchsorted(data.global_list_ids, flat)
-        stored = data.global_list_ids[
-            np.minimum(local, len(data.global_list_ids) - 1)
-        ] == flat
-        row_end = np.cumsum(
-            np.fromiter(map(len, routed_lists), np.int64, len(routed_lists))
-        )
-        probe_off = np.concatenate([[0], np.cumsum(stored)])[
-            np.concatenate([[0], row_end])
-        ]
-        lists = local[stored]
     # Columns of the output frame, one block per template.
     qpos_out, id_out, score_out, n_out = [], [], [], []
     counters = []
@@ -239,14 +201,9 @@ def search_partition(
         if params.apply_filter and len(template):
             mask = template.mask(data.attrs)
         qpos = qpos_all[a:b]
-        probes = None
-        if lists is not None:
-            off = probe_off[a : b + 1]
-            probes = lists[off[0] : off[-1]], np.diff(off)
         fn = idx.batch_search if params.batch_vectors else idx.search
         res_ids, res_scores = fn(
-            params.qvecs[qpos], params.k, params.nprobe(tid), mask=mask,
-            stats=stats, probes=probes,
+            params.qvecs[qpos], params.k, nprobe_all[a:b], mask=mask, stats=stats
         )
         valid = res_ids != PAD_ID
         qpos_out += [np.repeat(qpos, valid.sum(axis=1)), [-1]]

@@ -2,28 +2,28 @@
 
 Routing happens on the driver (routing metadata — qd-tree semantic
 descriptions, range edges, or the global IVF centroid table — is small)
-and produces the routed-query table ``(pid, qpos, tid[, lists])`` that
-both engines group by ``pid``:
+and produces the routed-query table ``(pid, qpos, tid, nprobe)`` that both
+engines group by ``pid``. ``nprobe`` is how many lists the query probes in
+that partition; the partition picks that many of its own nearest lists.
 
 - ``hqi``: a template (plus, when m > 0, the query's m nearest §4.1.1
   centroids) is routed to every leaf whose semantic description subsumes
-  it;
+  it, probing its template's nprobe lists there;
 - ``range``: Strategy C — an ``attr < v`` or ``attr <= v`` predicate over
   the partitioning attribute selects the overlapping buckets, any other
-  template scans all buckets;
+  template scans all buckets, probing its template's nprobe lists in each;
 - ``flat``: the query's nprobe nearest *global* IVF centroids, in
-  (score, list id) order, determine its posting lists; each (query,
-  bucket) row carries, in that order, the list ids that live in that
-  bucket (a slice of one flat array per template); a template missing
-  from ``nprobe_by_tid`` raises ``KeyError``.
+  (score, list id) order, are its posting lists; each (query, bucket) row
+  counts those that live in that bucket. The bucket stores its lists in
+  global order, so on exact score ties its own nearest lists are the ones
+  counted here.
 
-For ``hqi`` and ``range`` each distinct template (or, when m > 0,
-template and centroid set) is routed once and its pid list expanded to
-its queries' rows in one step, ``_expand``.
+A template missing from ``nprobe_by_tid`` raises ``KeyError`` on every
+layout. For ``hqi`` and ``range`` each distinct template is routed once,
+and, when m > 0, each routing centroid; the query × partition matrix that
+results is expanded to rows in one step, ``_expand``.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pandas as pd
@@ -34,63 +34,60 @@ from repro.core.types import Workload
 from repro.exec.engine import ExecParams
 from repro.index.layout import CENTROID_COL, PartitionPlan, nearest_routing_centroids
 
-ROUTE_COLUMNS = ["pid", "qpos", "tid", "lists"]
+ROUTE_COLUMNS = ["pid", "qpos", "tid", "nprobe"]
 
 
 def _expand(
-    qpos: np.ndarray, tids: np.ndarray, key: np.ndarray, pids_of_key: list
+    workload: Workload, params: ExecParams, routed: np.ndarray, by_template: bool
 ) -> pd.DataFrame:
-    """Routed rows for queries ``qpos`` (in row order): query ``i`` goes to
-    every pid of ``pids_of_key[key[i]]``, in that list's order."""
-    lens = np.fromiter(map(len, pids_of_key), np.int64, len(pids_of_key))
-    key_start = np.concatenate([[0], np.cumsum(lens)])[:-1]
-    flat = np.fromiter(itertools.chain.from_iterable(pids_of_key), np.int64)
-    counts = lens[key]
-    row_q = np.repeat(np.arange(len(qpos)), counts)
-    # Row r is entry r - row_start of its query's pid list.
-    row_start = np.repeat(np.cumsum(counts) - counts, counts)
+    """Routed rows of the ``(nq, n_parts)`` bool matrix ``routed``: by
+    template, then query position (or by position only), each query's pids
+    ascending, each row with its template's nprobe."""
+    tids, key = np.unique(workload.qtemplates, return_inverse=True)
+    nprobe = np.array([params.nprobe(int(t)) for t in tids], dtype=np.int64)
+    qpos = (
+        np.argsort(workload.qtemplates, kind="stable")
+        if by_template
+        else np.arange(workload.nq)
+    )
+    row_q, pid = np.nonzero(routed[qpos])
+    qpos = qpos[row_q]
     return pd.DataFrame(
         {
-            "pid": flat[key_start[key][row_q] + np.arange(len(row_q)) - row_start],
-            "qpos": qpos[row_q],
-            "tid": tids[row_q],
-            "lists": None,
+            "pid": pid,
+            "qpos": qpos,
+            "tid": workload.qtemplates[qpos],
+            "nprobe": nprobe[key[qpos]],
         }
     )
 
 
-def _by_template(workload: Workload, pids_of_template) -> pd.DataFrame:
-    """Route every query to its template's pids; rows by template, then
-    query position."""
-    qpos = np.argsort(workload.qtemplates, kind="stable")
+def _per_template(workload: Workload, route) -> np.ndarray:
+    """``(nq, n_parts)`` bool: ``route`` maps the distinct templates to
+    their partition masks, each template routed once."""
     tids, key = np.unique(workload.qtemplates, return_inverse=True)
-    pids = [pids_of_template(workload.templates[int(t)]) for t in tids]
-    return _expand(qpos, workload.qtemplates[qpos], key[qpos], pids)
+    return route([workload.templates[int(t)] for t in tids])[key]
 
 
 def _route_hqi(plan: PartitionPlan, workload: Workload, params: ExecParams) -> pd.DataFrame:
     tree = plan.tree
-    if plan.m == 0:
-        return _by_template(
-            workload, lambda t: tree.route_group(tree.group_for(list(t)))
-        )
-    # A query's pids depend on its template and its m nearest centroids;
-    # route each distinct pair once. Rows by query position.
-    qc = nearest_routing_centroids(workload.qvecs, plan.routing_centroids, plan.m)
-    keys, key = np.unique(
-        np.column_stack([workload.qtemplates, qc]), axis=0, return_inverse=True
+    routed = _per_template(
+        workload, lambda ts: tree.route_groups([tree.group_for(list(t)) for t in ts])
     )
-    pids = [
-        tree.route_group(
-            tree.group_for(
-                list(workload.templates[int(k[0])]),
-                [In(CENTROID_COL, [int(c)]) for c in k[1:]],
-            )
-        )
-        for k in keys
-    ]
-    qpos = np.arange(workload.nq)
-    return _expand(qpos, workload.qtemplates, key.ravel(), pids)
+    if plan.m == 0:
+        return _expand(workload, params, routed, by_template=True)
+    # A query's partition must also hold one of its m nearest centroids
+    # (an unknown centroid cannot prune). Rows by query position.
+    holds = tree.route_groups(
+        [
+            tree.group_for([], [In(CENTROID_COL, [c])])
+            for c in range(len(plan.routing_centroids))
+        ]
+    )
+    qc = nearest_routing_centroids(workload.qvecs, plan.routing_centroids, plan.m)
+    return _expand(
+        workload, params, routed & holds[qc].any(axis=1), by_template=False
+    )
 
 
 def _range_pids(template, plan: PartitionPlan) -> list[int]:
@@ -110,48 +107,35 @@ def _range_pids(template, plan: PartitionPlan) -> list[int]:
 
 
 def _route_range(plan: PartitionPlan, workload: Workload, params: ExecParams) -> pd.DataFrame:
-    return _by_template(workload, lambda t: _range_pids(t, plan))
+    def route(templates):
+        # Each template's pids are a prefix of the buckets.
+        n = np.array([len(_range_pids(t, plan)) for t in templates], dtype=np.int64)
+        return np.arange(plan.n_parts) < n[:, None]
+
+    return _expand(workload, params, _per_template(workload, route), by_template=True)
 
 
 def _route_flat(plan: PartitionPlan, workload: Workload, params: ExecParams) -> pd.DataFrame:
-    n_lists = len(plan.global_centroids)
-    pids, qposs, tids, lists = [], [], [], []
-    for tid in np.unique(workload.qtemplates):
-        tid = int(tid)
+    n_lists, n_buckets = len(plan.global_centroids), plan.n_buckets
+    cols = {c: [np.empty(0, dtype=np.int64)] for c in ROUTE_COLUMNS}
+    for tid in np.unique(workload.qtemplates).tolist():
         qpos = workload.queries_of_template(tid)
         nprobe = min(params.nprobe(tid), n_lists)
         scores = pairwise_scores(
             workload.qvecs[qpos], plan.global_centroids, params.metric
         )
-        # Each query's nearest lists, ordered by (score, list id).
+        # Each query's nearest lists by (score, list id), counted per bucket.
         nearest, _ = topk_rows(scores, np.arange(n_lists), nprobe)
-        # Vectorized grouping of the (query, list) pairs by (query, bucket):
-        # stable lexsort keeps probe order inside each group.
-        fq = np.repeat(qpos, nprobe)
-        if not len(fq):
-            continue
-        fl = nearest.ravel()
-        fb = fl % plan.n_buckets
-        perm = np.lexsort((np.arange(len(fq)), fb, fq))
-        fq, fl, fb = fq[perm], fl[perm], fb[perm]
-        change = (np.diff(fq) != 0) | (np.diff(fb) != 0)
-        starts = np.concatenate([[0], np.flatnonzero(change) + 1])
-        pids.append(fb[starts])
-        qposs.append(fq[starts])
-        tids.append(np.full(len(starts), tid, dtype=np.int64))
-        # Each (query, bucket) row's lists are a view of fl.
-        bounds = np.append(starts, len(fl)).tolist()
-        lists += [fl[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    if not lists:
-        return pd.DataFrame(columns=ROUTE_COLUMNS)
-    return pd.DataFrame(
-        {
-            "pid": np.concatenate(pids),
-            "qpos": np.concatenate(qposs),
-            "tid": np.concatenate(tids),
-            "lists": lists,
-        }
-    )
+        cell = np.arange(len(qpos))[:, None] * n_buckets + nearest % n_buckets
+        counts = np.bincount(
+            cell.ravel(), minlength=len(qpos) * n_buckets
+        ).reshape(len(qpos), n_buckets)
+        row_q, pid = np.nonzero(counts)
+        cols["pid"].append(pid)
+        cols["qpos"].append(qpos[row_q])
+        cols["tid"].append(np.full(len(pid), tid, dtype=np.int64))
+        cols["nprobe"].append(counts[row_q, pid])
+    return pd.DataFrame({c: np.concatenate(v) for c, v in cols.items()})
 
 
 def route_queries(

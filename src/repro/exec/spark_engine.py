@@ -57,10 +57,8 @@ def _search_rows(
 ) -> pd.DataFrame:
     """Every routed partition's ``search_partition`` rows, collected in one
     action over the routed layout rows."""
-    # Each partition's routed rows travel as Arrow IPC bytes. Pickled as a
-    # frame, the ``lists`` column's many small arrays took 5x longer to
-    # ship on the driver and 50x longer to load per task (PreFilter on
-    # RelatedQS, bench scale).
+    # Each partition's routed rows (four integer columns) travel as Arrow
+    # IPC bytes.
     routed_by_pid = {int(pid): to_ipc(grp) for pid, grp in routed.groupby("pid")}
 
     def fn(batches):

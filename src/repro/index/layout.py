@@ -19,6 +19,8 @@ Layout kinds:
 - ``flat``  — a single global IVF (PreFilter / PostFilter / LP): posting
   lists are spread over ``n_buckets`` Spark partitions by
   global list id modulo ``n_buckets`` so baseline scans parallelize fairly.
+  Bucket ``b`` stores global lists ``b, b + n_buckets, …`` (empty ones
+  included) as its local lists ``0, 1, …``, so local order is global order.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from repro.core.kmeans import kmeans
 from repro.core.predicates import In, dictionary_encode
 from repro.core.qdtree import QDTree, QueryGroup, construct_balanced_qdtree, extract_atoms
 from repro.core.types import Dataset, Workload
-from repro.exec.engine import PACKED_SCHEMA, PartitionData, compact_lists
+from repro.exec.engine import PACKED_SCHEMA, PartitionData
 
 CENTROID_COL = "centroid_id"
 _PART_SEED = 7000  # partition pid trains its IVF with seed _PART_SEED + pid
@@ -205,12 +207,13 @@ def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, Partit
         if not len(rows):
             continue
         if plan.kind == "flat":
-            labels, centroids, global_ids = compact_lists(
-                plan.list_of_row[rows], plan.global_centroids
+            # Global list pid + j * n_buckets is local list j.
+            labels = plan.list_of_row[rows] // plan.n_buckets
+            centroids = np.ascontiguousarray(
+                plan.global_centroids[pid :: plan.n_buckets]
             )
         else:
             centroids, labels = _train_partition(pid, vecs[rows])
-            global_ids = None
         # List order; the stable sort keeps dataset order within a list.
         order = np.argsort(labels, kind="stable")
         rows, labels = rows[order], labels[order]
@@ -223,7 +226,6 @@ def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, Partit
             attrs=dictionary_encode(
                 pdf.iloc[rows][dataset.attr_cols].reset_index(drop=True)
             ),
-            global_list_ids=global_ids,
         )
     return parts
 

@@ -94,7 +94,7 @@ class TestPartitionPruning:
         built, path = persisted
         tree = built.plan.tree
         t4 = kg_load.templates[4]
-        pids = tree.route_group(tree.group_for(list(t4)))
+        pids = np.flatnonzero(tree.route_groups([tree.group_for(list(t4))])[0]).tolist()
         pruned_df = read_layout(spark, path, pids=pids)
         pruned_layout = SparkLayout(df=pruned_df.cache(), plan=built.plan)
         from dataclasses import replace

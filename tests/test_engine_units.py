@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.distance import pairwise_scores
 from repro.core.ivf import PAD_ID, SearchStats
 from repro.core.predicates import Cmp, Conjunction, NotNull
 from repro.core.types import Workload
@@ -14,7 +15,6 @@ from repro.exec.engine import (
     ExecParams,
     PartitionData,
     RunResult,
-    compact_lists,
     empty_result_frame,
     merge_rows_to_result,
     post_filter,
@@ -59,12 +59,24 @@ def _toy_workload(data, nq=5, seed=1):
     )
 
 
+def _routed(qpos, tids, nprobe=10**6):
+    """One partition's routed rows; every query probes ``nprobe`` lists
+    (one count, or one per row)."""
+    return pd.DataFrame(
+        {
+            "qpos": np.asarray(qpos, dtype=np.int64),
+            "tid": np.asarray(tids, dtype=np.int64),
+            "nprobe": np.broadcast_to(np.asarray(nprobe, dtype=np.int64), len(qpos)),
+        }
+    )
+
+
 def _params(wl, **kw):
     defaults = dict(
         k=3,
         metric="l2",
         templates=wl.templates,
-        nprobe_by_tid={1: 10**6, 2: 10**6},
+        nprobe_by_tid={},  # routing's input; search_partition reads the rows
         qvecs=wl.qvecs,
         batch_vectors=True,
         apply_filter=True,
@@ -77,9 +89,7 @@ class TestSearchPartition:
     def test_results_satisfy_filters(self):
         data = _toy_partition()
         wl = _toy_workload(data)
-        routed = pd.DataFrame(
-            {"qpos": np.arange(wl.nq), "tid": wl.qtemplates}
-        )
+        routed = _routed(np.arange(wl.nq), wl.qtemplates)
         rows = search_partition(data, routed, _params(wl))
         res = rows[rows["id"] >= 0]
         id_to_row = {int(i): r for r, i in enumerate(data.ids)}
@@ -100,9 +110,7 @@ class TestSearchPartition:
             if no_match_template:
                 wl.templates[3] = Conjunction([Cmp("etype", "=", "no-such-type")])
                 tids[[1, 4]] = 3
-            routed = pd.DataFrame({"qpos": np.arange(wl.nq), "tid": tids})
-            p = _params(wl, nprobe_by_tid={1: 10**6, 2: 10**6, 3: 10**6})
-            rows = search_partition(data, routed, p)
+            rows = search_partition(data, _routed(np.arange(wl.nq), tids), _params(wl))
             pd.testing.assert_series_equal(rows.dtypes, empty_result_frame().dtypes)
             stats = rows[rows["id"] < 0]
             assert stats["tid"].tolist() == sorted(set(tids.tolist()))
@@ -111,18 +119,11 @@ class TestSearchPartition:
                 assert not ((rows["tid"] == 3) & (rows["id"] >= 0)).any()
                 assert stats[stats["tid"] == 3]["dcomp"].tolist() == [0]
 
-    def test_template_without_nprobe_raises(self):
-        data = _toy_partition()
-        wl = _toy_workload(data)
-        routed = pd.DataFrame({"qpos": np.arange(wl.nq), "tid": wl.qtemplates})
-        with pytest.raises(KeyError, match="template 2"):
-            search_partition(data, routed, _params(wl, nprobe_by_tid={1: 4}))
-
     def test_no_filter_mode_ignores_attrs(self):
         data = _toy_partition()
         wl = _toy_workload(data)
-        routed = pd.DataFrame({"qpos": [0], "tid": [1]})
-        rows = search_partition(data, routed, _params(wl, apply_filter=False))
+        params = _params(wl, apply_filter=False)
+        rows = search_partition(data, _routed([0], [1]), params)
         res_ids = rows[rows["id"] >= 0]["id"]
         # Unfiltered: may contain tuples violating template 1.
         mask = wl.templates[1].mask(data.attrs)
@@ -133,65 +134,56 @@ class TestSearchPartition:
     def test_empty_routed_returns_empty(self):
         data = _toy_partition()
         wl = _toy_workload(data)
-        routed = pd.DataFrame({"qpos": pd.Series(dtype=np.int64),
-                               "tid": pd.Series(dtype=np.int64)})
-        rows = search_partition(data, routed, _params(wl))
+        rows = search_partition(data, _routed([], []), _params(wl))
         assert rows.empty
 
-    def test_routed_global_lists_translated_to_local(self):
-        """Flat-layout routes carry global list ids; each is translated to
-        the bucket's local list, and lists the bucket does not store (no
-        rows) scan nothing."""
+    @pytest.mark.parametrize("batch_vectors", [False, True])
+    def test_routed_counts_probe_nearest_lists(self, batch_vectors):
+        """Each routed row's ``nprobe`` is how many of the partition's
+        nearest lists its query probes: ragged counts, 0 and more than the
+        partition's lists included. Results and counters equal the scan
+        over exactly those lists."""
         data = _toy_partition(n=80, n_lists=5)
-        global_lists = data.labels * 2 + 3  # stored: 3, 5, 7, 9, 11
-        all_centroids = np.zeros((13, data.centroids.shape[1]))
-        labels, cents, global_ids = compact_lists(global_lists, all_centroids)
-        data = PartitionData(
-            pid=0, ids=data.ids, vecs=data.vecs, labels=labels,
-            centroids=cents, attrs=data.attrs, global_list_ids=global_ids,
-        )
         wl = _toy_workload(data)
-        routed = pd.DataFrame(
-            {
-                "qpos": np.arange(wl.nq),
-                "tid": wl.qtemplates,
-                "lists": [
-                    np.array([9, 4, 3]), np.array([12]), np.array([11, 0, 5, 7]),
-                    np.array([], dtype=np.int64), np.array([1, 3, 13, 9]),
-                ],
-            }
+        counts = np.array([2, 0, 3, 9, 1])
+        rows = search_partition(
+            data, _routed(np.arange(wl.nq), wl.qtemplates, counts),
+            _params(wl, batch_vectors=batch_vectors),
         )
-        local_probes = [[3, 0], [], [4, 1, 2], [], [0, 3]]
-        p = _params(wl, batch_vectors=False)
-        rows = search_partition(data, routed, p)
         idx = data.index("l2")
         for tid in (1, 2):
             qpos = np.flatnonzero(wl.qtemplates == tid)
-            stats = SearchStats()
-            per_q = [np.array(local_probes[q], dtype=np.int64) for q in qpos]
-            exp_ids, exp_sc = idx.search(
-                wl.qvecs[qpos], p.k, 1,
-                mask=wl.templates[tid].mask(data.attrs),
-                stats=stats,
-                probes=(np.concatenate(per_q), [len(l) for l in per_q]),
-            )
+            mask = wl.templates[tid].mask(data.attrs)
+            nearest = idx.nearest_centroids(wl.qvecs[qpos], idx.n_lists)
             got = rows[(rows["tid"] == tid) & (rows["id"] >= 0)]
-            real = exp_ids != PAD_ID
-            np.testing.assert_array_equal(got["qpos"], np.repeat(qpos, real.sum(1)))
-            np.testing.assert_array_equal(got["id"], exp_ids[real])
-            np.testing.assert_array_equal(got["score"], exp_sc[real])
+            scanned = dcomp = 0
+            probed = set()
+            for q, lists in zip(qpos, nearest):
+                in_lists = np.concatenate(
+                    [np.arange(idx.list_offsets[l], idx.list_offsets[l + 1])
+                     for l in lists[: counts[q]]] + [np.empty(0, np.int64)]
+                ).astype(np.int64)
+                probed |= set(lists[: counts[q]].tolist())
+                scanned += len(in_lists)
+                cand = in_lists[mask[in_lists]]
+                dcomp += len(cand)
+                sc = pairwise_scores(wl.qvecs[q : q + 1], data.vecs[cand], "l2")[0]
+                order = np.lexsort((data.ids[cand], sc))[:3]
+                mine = got[got["qpos"] == q]
+                np.testing.assert_array_equal(mine["id"], data.ids[cand][order])
+                np.testing.assert_allclose(mine["score"], sc[order], rtol=1e-12)
+            if batch_vectors:  # a probed list is visited once per template
+                scanned = int(sum(np.diff(idx.list_offsets)[sorted(probed)]))
             st_row = rows[(rows["tid"] == tid) & (rows["id"] < 0)].iloc[0]
-            assert st_row["scanned"] == stats.tuples_scanned
-            assert st_row["dcomp"] == stats.distance_computations
+            assert st_row["scanned"] == scanned
+            assert st_row["dcomp"] == dcomp
 
     def test_batch_and_per_query_modes_agree(self):
         data = _toy_partition(n=120, n_lists=6)
         wl = _toy_workload(data)
-        routed = pd.DataFrame({"qpos": np.arange(wl.nq), "tid": wl.qtemplates})
-        p = _params(wl, nprobe_by_tid={1: 3, 2: 3})
-        a = search_partition(data, routed, p)
-        p2 = _params(wl, nprobe_by_tid={1: 3, 2: 3}, batch_vectors=False)
-        b = search_partition(data, routed, p2)
+        routed = _routed(np.arange(wl.nq), wl.qtemplates, 3)
+        a = search_partition(data, routed, _params(wl))
+        b = search_partition(data, routed, _params(wl, batch_vectors=False))
         ka = a[a["id"] >= 0].sort_values(["qpos", "score", "id"]).reset_index(drop=True)
         kb = b[b["id"] >= 0].sort_values(["qpos", "score", "id"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(ka[["qpos", "id"]], kb[["qpos", "id"]])
@@ -230,27 +222,31 @@ class TestPackedPartition:
     def test_local_list_partition_roundtrips(self):
         data = _toy_partition()
         data.attrs = self._sparse_attrs(data)
-        got = self._assert_roundtrip(data)
-        assert got.global_list_ids is None
+        self._assert_roundtrip(data)
 
     def test_global_list_partition_roundtrips(self):
+        """A flat-layout bucket stores a stride of the global lists as its
+        local lists, empty ones included: the unpacked index keeps every
+        list, empty ones as zero-length runs."""
         data = _toy_partition()
-        global_lists = data.labels * 3 + 1  # sparse global numbering
+        n_buckets, pid = 3, 1
+        global_lists = data.labels * 2 * n_buckets + pid  # local 1, 3, ... empty
         all_centroids = np.arange(
-            (3 * data.centroids.shape[0] + 1) * data.centroids.shape[1],
+            (2 * n_buckets * len(data.centroids) + 1) * data.centroids.shape[1],
             dtype=np.float64,
         ).reshape(-1, data.centroids.shape[1])
-        labels, cents, global_ids = compact_lists(global_lists, all_centroids)
         data = PartitionData(
-            pid=2, ids=data.ids, vecs=data.vecs, labels=labels, centroids=cents,
-            attrs=self._sparse_attrs(data), global_list_ids=global_ids,
+            pid=pid, ids=data.ids, vecs=data.vecs,
+            labels=global_lists // n_buckets,
+            centroids=all_centroids[pid::n_buckets],
+            attrs=self._sparse_attrs(data),
         )
         got = self._assert_roundtrip(data)
-        assert got.global_list_ids.dtype == np.int64
-        np.testing.assert_array_equal(got.global_list_ids, global_ids)
-        # Local labels stay a compaction of the global numbering.
+        sizes = np.diff(got.index("l2").list_offsets)
+        assert len(sizes) == len(data.centroids)
+        assert (sizes[1::2] == 0).all()
         np.testing.assert_array_equal(
-            got.global_list_ids[got.labels], global_lists
+            sizes[::2], np.bincount(global_lists // (2 * n_buckets))
         )
 
     def test_rows_out_of_list_order_rejected(self):

@@ -1,5 +1,7 @@
 """Unit tests for layout planning (plan_hqi / plan_range / plan_flat)
 and the local materializer."""
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -71,11 +73,13 @@ class TestPlanHQI:
         plan = plan_hqi(kg, wl, min_size=256)
         counts = {t: c for t, c in wl.template_counts().items()}
         tree = plan.tree
-        qd_cost = 0
-        for tid, weight in counts.items():
-            g = tree.group_for(list(wl.templates[tid]))
-            for pid in tree.route_group(g):
-                qd_cost += weight * tree.leaves[pid].n_rows
+        routed = tree.route_groups(
+            [tree.group_for(list(wl.templates[tid])) for tid in counts]
+        )
+        n_rows = np.array([lf.n_rows for lf in tree.leaves])
+        qd_cost = sum(
+            weight * n_rows[r].sum() for weight, r in zip(counts.values(), routed)
+        )
         rand_cost = sum(counts.values()) * kg.n  # every query scans all
         assert qd_cost < 0.7 * rand_cost
 
@@ -130,12 +134,34 @@ class TestMaterializeLocal:
         for p in parts.values():
             assert len(p.centroids) == max(1, int(np.sqrt(len(p.ids))))
 
-    def test_flat_partitions_keep_global_list_ids(self, ms):
+    def test_flat_bucket_local_list_is_global_stride(self, ms):
+        """Local list j of bucket b holds exactly the rows of global list
+        b + j * n_buckets, with that list's centroid row; every global
+        list of the bucket is stored, empty or not (the second plan leaves
+        two of every three global lists empty)."""
         plan = plan_flat(ms, n_buckets=4, seed=0)
-        parts = materialize_local(ms, plan)
-        for pid, p in parts.items():
-            assert p.global_list_ids is not None
-            assert all(g % 4 == pid for g in p.global_list_ids)
+        lists = plan.list_of_row * 3
+        sparse = dataclasses.replace(
+            plan, pid_of_row=lists % 4, list_of_row=lists,
+            global_centroids=ms.vecs()[: 3 * len(plan.global_centroids)],
+        )
+        ids = ms.ids()
+        for plan in (plan, sparse):
+            n_lists = len(plan.global_centroids)
+            parts = materialize_local(ms, plan)
+            assert set(parts) == set(range(4))
+            for b, p in parts.items():
+                idx = p.index(ms.metric)
+                assert idx.n_lists == len(range(b, n_lists, 4))
+                for j, g in enumerate(range(b, n_lists, 4)):
+                    np.testing.assert_array_equal(
+                        idx.centroids[j], plan.global_centroids[g]
+                    )
+                    lo, hi = idx.list_offsets[j], idx.list_offsets[j + 1]
+                    np.testing.assert_array_equal(
+                        np.sort(idx.ids[lo:hi]),
+                        np.sort(ids[plan.list_of_row == g]),
+                    )
 
     @pytest.mark.parametrize("kind", ["hqi", "flat"])
     def test_index_lists_hold_their_labelled_rows(self, kg, wl, kind):

@@ -12,7 +12,7 @@ from repro.core import ivf
 from repro.core.ivf import PAD_ID, IVFIndex, SearchStats
 from repro.core.kmeans import kmeans
 from repro.core.predicates import Cmp, Conjunction, In, NotNull, dictionary_encode
-from repro.core.qdtree import QueryGroup, construct_balanced_qdtree
+from repro.core.qdtree import QueryGroup, _routed, construct_balanced_qdtree
 
 
 @st.composite
@@ -79,6 +79,16 @@ class TestPredicateSqlMaskAgreement:
         assert got == pdf["_rid"][pred.mask(dictionary_encode(pdf))].tolist()
 
 
+def nearest_lists(idx, queries, counts):
+    """Reference probe choice: query i's ``counts[i]`` nearest lists, by
+    (centroid score, list id), one query at a time."""
+    scores = pairwise_scores(queries, idx.centroids, idx.metric).tolist()
+    return [
+        sorted(range(idx.n_lists), key=lambda l: (row[l], l))[:c]
+        for row, c in zip(scores, counts)
+    ]
+
+
 def per_query_scan(idx, queries, k, probes, mask):
     """Reference for ``IVFIndex.search``: scans one (query, posting list)
     pair at a time and selects each query's top-k on its own."""
@@ -107,11 +117,6 @@ def per_query_scan(idx, queries, k, probes, mask):
     return out_ids, out_scores, stats
 
 
-def flat_probes(per_query):
-    """Per-query probe lists as the scan's ``(lists, n_probes)`` arrays."""
-    return np.concatenate(per_query), [len(p) for p in per_query]
-
-
 class TestIVFProperties:
     @given(
         st.integers(1, 120),
@@ -127,31 +132,35 @@ class TestIVFProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_search_equals_per_query_reference(
-        self, n, n_lists, nq, k, mask_kind, metric, explicit, cells, batched,
+        self, n, n_lists, nq, k, mask_kind, metric, ragged, cells, batched,
         seed,
     ):
         """``search`` and ``batch_search`` return the per-(query, list)
-        reference's ids and scores bit for bit: ragged explicit probes (the
-        batch's last queries probing nothing), empty posting lists, all /
-        sparse / no rows passing the mask, k above the candidate count, and
-        candidate buffers split into several chunks. ``search`` counts the
-        reference's work; ``batch_search`` computes the same distances but
-        visits each distinct probed list once. Its matmul blocks sum in
-        another order than one score row per query, so it is compared on
-        integer-valued vectors and queries, whose scores are exact."""
+        reference's ids and scores bit for bit: one nprobe for all queries
+        or ragged per-query counts (0, and above ``n_lists``, included),
+        probes ordered by (centroid score, list id) with exact centroid
+        ties, empty posting lists, all / sparse / no rows passing the mask,
+        k above the candidate count, and candidate buffers split into
+        several chunks. ``search`` counts the reference's work;
+        ``batch_search`` computes the same distances but visits each
+        distinct probed list once. Its matmul blocks sum in another order
+        than one score row per query, so it is compared on integer-valued
+        vectors and queries, whose scores are exact."""
         g = np.random.default_rng(seed)
         d = 3
         ids = (g.permutation(n) + 1000).astype(np.int64)
         integer = batched or g.random() < 0.5
         if integer:
             vecs = g.integers(0, 5, (n, d)).astype(float)  # score ties
+            # Repeated centroids: probe order falls back to the list id.
+            centroids = g.integers(-1, 2, (n_lists, d)).astype(float)
         else:
             vecs = g.standard_normal((n, d))
+            centroids = g.standard_normal((n_lists, d))
         # Rows go to a subset of the lists; the others stay empty.
         used = g.choice(n_lists, size=g.integers(1, n_lists + 1), replace=False)
         idx = IVFIndex.from_assignment(
-            ids, vecs, g.choice(used, n), g.standard_normal((n_lists, d)),
-            metric=metric,
+            ids, vecs, g.choice(used, n), centroids, metric=metric
         )
         mask = {
             None: None,
@@ -163,32 +172,22 @@ class TestIVFProperties:
             q = g.integers(-4, 5, (nq, d)).astype(float)
         else:
             q = g.standard_normal((nq, d))
-        nprobe = int(g.integers(1, n_lists + 1))
-        if explicit:
-            n_probing = int(g.integers(0, nq + 1))
-            probes = [
-                g.permutation(n_lists)[: g.integers(1, n_lists + 1)]
-                if qi < n_probing else np.empty(0, dtype=np.int64)
-                for qi in range(nq)
-            ]
+        if ragged:
+            nprobe = g.integers(0, n_lists + 3, nq)
         else:
-            probes = None
-        ref_probes = idx.nearest_centroids(q, nprobe) if probes is None else probes
-        exp_ids, exp_sc, exp_stats = per_query_scan(idx, q, k, ref_probes, mask)
+            nprobe = int(g.integers(1, n_lists + 1))
+        probes = nearest_lists(idx, q, np.broadcast_to(nprobe, nq))
+        exp_ids, exp_sc, exp_stats = per_query_scan(idx, q, k, probes, mask)
         if batched:
-            probed = np.unique(np.concatenate(list(ref_probes)).astype(np.int64))
+            probed = np.unique(np.concatenate([[], *probes]).astype(np.int64))
             exp_stats.tuples_scanned = int(np.diff(idx.list_offsets)[probed].sum())
         scan = idx.batch_search if batched else idx.search
         stats = SearchStats()
         with mock.patch.object(ivf, "_TOPK_CELLS", cells):
-            got_ids, got_sc = scan(
-                q, k, nprobe, mask=mask, stats=stats,
-                probes=None if probes is None else flat_probes(probes),
-            )
+            got_ids, got_sc = scan(q, k, nprobe, mask=mask, stats=stats)
         np.testing.assert_array_equal(got_ids, exp_ids)
         np.testing.assert_array_equal(got_sc, exp_sc)
         assert stats == exp_stats
-
 
     @given(
         st.integers(20, 120),
@@ -220,24 +219,23 @@ class TestIVFProperties:
         self, n, d, k, keep_frac, seed
     ):
         """Both scan modes return identical ids and scores for the same
-        explicit (ragged) probes at every nprobe; queries whose probed
-        lists hold fewer than k matching rows, or none, come back padded."""
+        ragged per-query counts (0, and above ``n_lists``, included) up to
+        every nprobe; queries whose probed lists hold fewer than k matching
+        rows, or none, come back padded."""
         g = np.random.default_rng(seed)
         ids = g.permutation(n).astype(np.int64)
         vecs = g.integers(0, 10, (n, d)).astype(float)  # exact scores, ties
         idx = IVFIndex.build(ids, vecs, metric="l2", seed=0)
         mask = None if keep_frac is None else g.random(n) < keep_frac
         q = g.integers(0, 10, (8, d)).astype(float)
-        for nprobe in range(1, idx.n_lists + 1):
-            nearest = idx.nearest_centroids(q, nprobe)
-            probes = [p[: g.integers(0, nprobe + 1)] for p in nearest]
-            flat = flat_probes(probes)
-            a_ids, a_sc = idx.search(q, k, nprobe, mask=mask, probes=flat)
-            b_ids, b_sc = idx.batch_search(q, k, nprobe, mask=mask, probes=flat)
+        for nprobe in range(1, idx.n_lists + 3):
+            counts = g.integers(0, nprobe + 1, len(q))
+            a_ids, a_sc = idx.search(q, k, counts, mask=mask)
+            b_ids, b_sc = idx.batch_search(q, k, counts, mask=mask)
             np.testing.assert_array_equal(a_ids, b_ids)
             np.testing.assert_array_equal(a_sc, b_sc)
             keep = np.ones(n, dtype=bool) if mask is None else mask
-            for qi, p in enumerate(probes):
+            for qi, p in enumerate(nearest_lists(idx, q, counts)):
                 n_match = sum(
                     int(keep[idx.list_offsets[l] : idx.list_offsets[l + 1]].sum())
                     for l in p
@@ -280,8 +278,28 @@ class TestQDTreeProperties:
         atoms = [Cmp(f"c{i}", "=", 1) for i in range(n_atoms)]
         groups = [QueryGroup(and_idxs=(i,)) for i in range(n_atoms)]
         tree = construct_balanced_qdtree(matrix, atoms, groups, min_size=8)
+        routed = tree.route_groups(groups)
         for i in range(n_atoms):
-            routed = set(tree.route_group(QueryGroup(and_idxs=(i,))))
             for lf in tree.leaves:
                 if matrix[lf.row_idx, i].any():
-                    assert lf.pid in routed
+                    assert routed[i, lf.pid]
+
+    @given(st.integers(30, 200), st.integers(1, 8), st.integers(0, 500))
+    @settings(max_examples=25, deadline=None)
+    def test_route_groups_equals_per_leaf_loop(self, n, n_atoms, seed):
+        """``route_groups`` routes every group as ``_routed`` does leaf by
+        leaf: AND atoms all satisfiable, and some OR atom when any."""
+        g = np.random.default_rng(seed)
+        matrix = g.random((n, n_atoms)) < g.random(n_atoms) / 2
+        atoms = [Cmp(f"c{i}", "=", 1) for i in range(n_atoms)]
+        groups = [
+            QueryGroup(
+                and_idxs=tuple(np.flatnonzero(g.random(n_atoms) < 0.3).tolist()),
+                or_idxs=tuple(np.flatnonzero(g.random(n_atoms) < 0.3).tolist()),
+            )
+            for _ in range(20)
+        ]
+        tree = construct_balanced_qdtree(matrix, atoms, groups, min_size=8)
+        expected = [[_routed(lf.any_true, grp) for lf in tree.leaves] for grp in groups]
+        np.testing.assert_array_equal(tree.route_groups(groups), expected)
+        assert tree.route_groups([]).shape == (0, tree.n_leaves)

@@ -82,11 +82,10 @@ class TestConstruction:
         groups = [QueryGroup(and_idxs=(0,)), QueryGroup(and_idxs=(1,))]
         tree = construct_balanced_qdtree(m, atoms, groups, min_size=1)
         assert tree.n_leaves >= 2
-        song = tree.route_group(QueryGroup(and_idxs=(0,)))
-        artist = tree.route_group(QueryGroup(and_idxs=(1,)))
-        assert len(song) < tree.n_leaves
-        assert len(artist) < tree.n_leaves
-        assert not (set(song) & set(artist))
+        song, artist = tree.route_groups(groups)
+        assert song.sum() < tree.n_leaves
+        assert artist.sum() < tree.n_leaves
+        assert not (song & artist).any()
 
     def test_semantic_description_matches_rows(self, toy):
         pdf, templates, atoms = toy
@@ -138,7 +137,7 @@ class TestRouting:
         for and_idxs in [(0,), (1,)]:
             for or_idxs in [(), (2,), (3,), (2, 3)]:
                 g = QueryGroup(and_idxs=and_idxs, or_idxs=or_idxs)
-                routed = set(tree.route_group(g))
+                routed = set(np.flatnonzero(tree.route_groups([g])[0]))
                 sat = m[:, and_idxs[0]].copy()
                 if or_idxs:
                     sat &= m[:, or_idxs].any(axis=1)
@@ -156,7 +155,7 @@ class TestRouting:
         pdf, atoms, m, tree = built
         g = tree.group_for([NotNull("nope")], [])
         assert g.and_idxs == ()  # unknown atom dropped => routes everywhere
-        assert set(tree.route_group(g)) == {lf.pid for lf in tree.leaves}
+        assert tree.route_groups([g]).all()
 
     def test_group_for_unknown_or_atom_conservative(self, built):
         pdf, atoms, m, tree = built
@@ -188,8 +187,9 @@ class TestCostBehaviour:
         ]
         tree = construct_balanced_qdtree(m, atoms, groups, min_size=100)
         # Cost per Equation (1): sum over partitions of |Pi| * routed queries.
+        routed = tree.route_groups(groups)
         qd_cost = sum(
-            lf.n_rows * sum(g.weight for g in groups if lf.pid in tree.route_group(g))
+            lf.n_rows * sum(g.weight for g, r in zip(groups, routed) if r[lf.pid])
             for lf in tree.leaves
         )
         # Random partitioning with the same number of parts: every query

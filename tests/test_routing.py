@@ -8,10 +8,17 @@ import pytest
 from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.core.distance import pairwise_scores
 from repro.core.predicates import Cmp, Conjunction, In, NotNull
+from repro.core.qdtree import _routed
 from repro.core.types import Workload
 from repro.exec.engine import ExecParams
-from repro.exec.routing import _range_pids, route_queries
-from repro.index.layout import CENTROID_COL, plan_flat, plan_hqi, plan_range
+from repro.exec.routing import ROUTE_COLUMNS, _range_pids, route_queries
+from repro.index.layout import (
+    CENTROID_COL,
+    materialize_local,
+    plan_flat,
+    plan_hqi,
+    plan_range,
+)
 from repro.kg.entities import kg_entities
 from repro.kg.workload import relatedqs_workload
 
@@ -57,6 +64,36 @@ def _params(workload, metric, nprobe=4, **kw):
     )
 
 
+def _template_nprobe(workload, metric):
+    """Params whose nprobe differs between templates, and a check that
+    every routed row carries its template's."""
+    params = _params(workload, metric)
+    params.nprobe_by_tid = {t: 1 + t % 7 for t in params.nprobe_by_tid}
+
+    def check(routed):
+        assert list(routed.columns) == ROUTE_COLUMNS
+        assert routed["nprobe"].tolist() == [
+            params.nprobe_by_tid[t] for t in routed["tid"].tolist()
+        ]
+
+    return params, check
+
+
+@pytest.mark.parametrize("kind", ["hqi", "range", "flat"])
+def test_template_without_nprobe_raises(kind, ms, ms_load):
+    """Routing reads every template's nprobe, so a template missing from
+    ``nprobe_by_tid`` raises on every layout, routed or not."""
+    plan = {
+        "hqi": lambda: plan_hqi(ms, ms_load, min_size=256),
+        "range": lambda: plan_range(ms, attr="A", n_parts=8),
+        "flat": lambda: plan_flat(ms, n_buckets=4, seed=0),
+    }[kind]()
+    params = _params(ms_load, ms.metric)
+    del params.nprobe_by_tid[10]
+    with pytest.raises(KeyError, match="template 10"):
+        route_queries(plan, ms_load, params)
+
+
 class TestRangeRouting:
     @pytest.fixture(scope="class")
     def plan(self, ms):
@@ -85,7 +122,9 @@ class TestRangeRouting:
         assert _range_pids(t, plan) == list(range(8))
 
     def test_rows_match_per_query_loop(self, plan, ms, ms_load):
-        routed = route_queries(plan, ms_load, _params(ms_load, ms.metric))
+        params, check_nprobe = _template_nprobe(ms_load, ms.metric)
+        routed = route_queries(plan, ms_load, params)
+        check_nprobe(routed)
         assert _rows(routed) == _loop_rows(
             ms_load,
             lambda q: _range_pids(ms_load.templates[int(ms_load.qtemplates[q])], plan),
@@ -112,28 +151,51 @@ class TestFlatRouting:
             plan.pid_of_row, plan.list_of_row % 4
         )
 
+    @staticmethod
+    def _nearest(plan, wl, metric, nprobe):
+        """Per query position: its nprobe nearest global lists by (score,
+        list id), from the score matrix routing computes per template."""
+        out = {}
+        for tid in np.unique(wl.qtemplates):
+            qpos = wl.queries_of_template(tid)
+            scores = pairwise_scores(wl.qvecs[qpos], plan.global_centroids, metric)
+            for q, row in zip(qpos.tolist(), scores.tolist()):
+                out[q] = sorted(range(len(row)), key=lambda l: (row[l], l))[:nprobe]
+        return out
+
     def test_each_query_routed_to_nprobe_lists(self, plan, ms, ms_load):
         params = _params(ms_load, ms.metric, nprobe=6)
         routed = route_queries(plan, ms_load, params)
-        per_q = routed.groupby("qpos")["lists"].apply(
-            lambda s: sum(len(x) for x in s)
-        )
-        assert (per_q == 6).all()
+        assert list(routed.columns) == ROUTE_COLUMNS
+        assert (routed["nprobe"] > 0).all()
+        assert (routed.groupby("qpos")["nprobe"].sum() == 6).all()
+        assert routed["qpos"].nunique() == ms_load.nq
 
     def test_lists_live_in_their_bucket(self, plan, ms, ms_load):
+        """A (query, bucket) row counts the query's nearest global lists
+        that live in that bucket; buckets holding none get no row."""
         params = _params(ms_load, ms.metric, nprobe=6)
         routed = route_queries(plan, ms_load, params)
-        for _, r in routed.head(50).iterrows():
-            assert all(l % 4 == r["pid"] for l in r["lists"])
+        nearest = self._nearest(plan, ms_load, ms.metric, 6)
+        got = {
+            (q, p): n for p, q, n in routed[["pid", "qpos", "nprobe"]].values.tolist()
+        }
+        want = {}
+        for q, lists in nearest.items():
+            for l in lists:
+                want[q, l % 4] = want.get((q, l % 4), 0) + 1
+        assert got == want
 
     @pytest.mark.parametrize("duplicated", [False, True])
     def test_probe_order_is_score_then_list_id(
         self, plan, ms, ms_load, duplicated
     ):
-        """A query's routed lists, joined across its buckets in bucket
-        order, are its nprobe nearest global centroids in (score, list id)
-        order, grouped by bucket. With duplicated integer-valued centroids
-        and queries, scores tie exactly and the list id decides."""
+        """The lists a query's buckets probe — each bucket's own nearest
+        ``nprobe`` lists, mapped back to global ids (local j of bucket b is
+        global b + j * n_buckets) and joined in bucket order — are its
+        nprobe nearest global centroids in (score, list id) order, grouped
+        by bucket. With duplicated integer-valued centroids and queries,
+        scores tie exactly and the list id decides."""
         wl = ms_load
         if duplicated:
             g = np.random.default_rng(3)
@@ -145,39 +207,37 @@ class TestFlatRouting:
             wl = dataclasses.replace(
                 wl, qvecs=g.integers(-2, 3, wl.qvecs.shape).astype(float)
             )
-        nprobe = 7
+        nprobe, n_buckets = 7, plan.n_buckets
         routed = route_queries(plan, wl, _params(wl, ms.metric, nprobe=nprobe))
+        index = {
+            pid: part.index(ms.metric)
+            for pid, part in materialize_local(ms, plan).items()
+        }
         n_tied = 0
-        for tid in np.unique(wl.qtemplates):
-            qpos = wl.queries_of_template(tid)
-            # The same score matrix routing computes for this template.
+        for q, nearest in self._nearest(plan, wl, ms.metric, nprobe).items():
             scores = pairwise_scores(
-                wl.qvecs[qpos], plan.global_centroids, ms.metric
-            )
-            for q, row in zip(qpos, scores.tolist()):
-                nearest = sorted(range(len(row)), key=lambda l: (row[l], l))
-                nearest = nearest[:nprobe]
-                n_tied += len({row[l] for l in nearest}) < nprobe
-                got = routed[routed["qpos"] == q].sort_values("pid")["lists"]
-                assert [int(l) for lists in got for l in lists] == sorted(
-                    nearest, key=lambda l: l % plan.n_buckets
-                )
+                wl.qvecs[q : q + 1], plan.global_centroids, ms.metric
+            )[0]
+            n_tied += len(set(scores[nearest].tolist())) < nprobe
+            probed = []
+            rows = routed[routed["qpos"] == q].sort_values("pid")
+            for pid, count in rows[["pid", "nprobe"]].values.tolist():
+                local = index[pid].nearest_centroids(wl.qvecs[q], count)[0]
+                probed += (pid + local * n_buckets).tolist()
+            assert probed == sorted(nearest, key=lambda l: l % n_buckets)
         if duplicated:
             assert n_tied == wl.nq
 
-    def test_template_without_nprobe_raises(self, plan, ms, ms_load):
-        params = _params(ms_load, ms.metric)
-        del params.nprobe_by_tid[10]
-        with pytest.raises(KeyError, match="template 10"):
-            route_queries(plan, ms_load, params)
-
     def test_nprobe_capped_at_list_count(self, plan, ms, ms_load):
+        """At full probe every bucket probes all the lists it stores."""
         params = _params(ms_load, ms.metric, nprobe=10**6)
         routed = route_queries(plan, ms_load, params)
-        per_q = routed.groupby("qpos")["lists"].apply(
-            lambda s: sum(len(x) for x in s)
-        )
-        assert (per_q == len(plan.global_centroids)).all()
+        n_lists = len(plan.global_centroids)
+        per_q = routed.groupby("qpos")["nprobe"].sum()
+        assert (per_q == n_lists).all()
+        assert routed["nprobe"].tolist() == [
+            len(range(p, n_lists, 4)) for p in routed["pid"].tolist()
+        ]
 
 
 class TestHQIRouting:
@@ -217,18 +277,24 @@ class TestHQIRouting:
         for qpos in range(0, wl.nq, 13):
             tid = int(wl.qtemplates[qpos])
             atoms = list(wl.templates[tid])
-            with_c = tree.route_group(
-                tree.group_for(
-                    atoms, [In(CENTROID_COL, [int(c)]) for c in qc[qpos]]
-                )
+            with_c, without_c = tree.route_groups(
+                [
+                    tree.group_for(
+                        atoms, [In(CENTROID_COL, [int(c)]) for c in qc[qpos]]
+                    ),
+                    tree.group_for(atoms),
+                ]
             )
-            without_c = tree.route_group(tree.group_for(atoms))
-            assert set(with_c) <= set(without_c)
+            assert not (with_c & ~without_c).any()
 
-    @pytest.mark.parametrize("m", [0, 10])
+    @pytest.mark.parametrize("m", [0, 3, 10])
     def test_rows_match_per_query_loop(self, kg, wl, m):
+        """The routed rows equal a per-query, per-leaf loop over the leaves'
+        semantic descriptions."""
         plan = plan_hqi(kg, wl, m=m, min_size=256, seed=0)
-        routed = route_queries(plan, wl, _params(wl, kg.metric))
+        params, check_nprobe = _template_nprobe(wl, kg.metric)
+        routed = route_queries(plan, wl, params)
+        check_nprobe(routed)
         tree = plan.tree
         if m:
             d = pairwise_scores(wl.qvecs, plan.routing_centroids, "l2")
@@ -237,7 +303,8 @@ class TestHQIRouting:
         def pids_of_query(q):
             atoms = list(wl.templates[int(wl.qtemplates[q])])
             centroids = [In(CENTROID_COL, [int(c)]) for c in qc[q]] if m else []
-            return tree.route_group(tree.group_for(atoms, centroids))
+            g = tree.group_for(atoms, centroids)
+            return [lf.pid for lf in tree.leaves if _routed(lf.any_true, g)]
 
         assert _rows(routed) == _loop_rows(wl, pids_of_query, by_template=m == 0)
 

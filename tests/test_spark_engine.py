@@ -82,19 +82,10 @@ class TestLayoutParity:
             np.testing.assert_array_equal(
                 got["id"].to_numpy(), want["id"].to_numpy()
             )
-            if kind == "flat":
-                want_global = part.global_list_ids[want["list"].to_numpy()]
-                np.testing.assert_array_equal(
-                    shipped.global_list_ids[got["list_id"].to_numpy()],
-                    want_global,
-                )
-            else:
-                np.testing.assert_array_equal(
-                    got["list_id"].to_numpy(), want["list"].to_numpy()
-                )
-                np.testing.assert_allclose(
-                    shipped.centroids, part.centroids, atol=1e-12
-                )
+            np.testing.assert_array_equal(
+                got["list_id"].to_numpy(), want["list"].to_numpy()
+            )
+            np.testing.assert_array_equal(shipped.centroids, part.centroids)
         layout.unpersist()
 
 
