@@ -1,7 +1,10 @@
 """Smoke tests of the Table 1-5 harnesses at the 'test' scale."""
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.bench.e2e as e2e
 from repro.bench.config import SCALES
 from repro.bench.e2e import (
     BenchRow,
@@ -58,6 +61,21 @@ class TestTable1:
         assert df["feasible_frac"].max() > 100 * df["feasible_frac"].min()
         text = format_table1(df)
         assert "T10" in text and "%" in text
+
+
+class TestWarmSpark:
+    def test_run_all_warms_before_the_first_build(self):
+        calls = []
+        with mock.patch.object(e2e, "warm_spark", lambda spark: calls.append("warm")), \
+                mock.patch.object(e2e, "run_dataset",
+                                  lambda spark, name, scale: calls.append(name) or []):
+            e2e.run_all(None, SCALE, datasets=("RelatedQS", "LP"))
+        assert calls == ["warm", "RelatedQS", "LP"]
+
+    def test_warm_up_leaves_nothing_cached(self, spark):
+        before = spark.sparkContext._jsc.getPersistentRDDs().size()
+        e2e.warm_spark(spark)
+        assert spark.sparkContext._jsc.getPersistentRDDs().size() == before
 
 
 class TestEndToEnd:

@@ -1,4 +1,5 @@
 """Unit tests for the seeded numpy k-means (S3)."""
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -7,6 +8,7 @@ import pytest
 
 import repro.core.kmeans as km
 from repro.bench.config import SCALES
+import repro.core.ivf as ivf
 from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.core.kmeans import assign, kmeans
 from repro.exec.strategies import build_index
@@ -164,6 +166,18 @@ BIT_CASES = {
 }
 
 
+def _at_widths(fn):
+    """``fn()`` with the pool capped at one worker, then at four; the
+    results must match each other bit for bit, and are returned once."""
+    out = []
+    for width in (1, 4):
+        with mock.patch.object(km, "_cpus", return_value=width):
+            out.append(fn())
+    for a, b in zip(*out):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return out[0]
+
+
 @pytest.fixture(params=["default", "smallest"])
 def cells(request):
     """The default block budget, and one cell: the smallest block,
@@ -178,7 +192,7 @@ class TestRowBlockedBitIdentity:
     def test_kmeans_matches_unblocked(self, case, cells):
         x, k = BIT_CASES[case]
         exp_c, exp_l = old_kmeans(x, k, seed=5)
-        got_c, got_l = kmeans(x, k, seed=5)
+        got_c, got_l = _at_widths(lambda: kmeans(x, k, seed=5))
         assert got_c.tobytes() == exp_c.tobytes()
         np.testing.assert_array_equal(got_l, exp_l)
         assert got_l.dtype == exp_l.dtype
@@ -188,9 +202,15 @@ class TestRowBlockedBitIdentity:
         x, k = BIT_CASES[case]
         k = min(k, len(x))
         exp = _old_kmeanspp_init(x, k, np.random.default_rng(3))
-        got = km._kmeanspp_init(x, k, np.random.default_rng(3))
+
+        def run():
+            with km._Pool(len(km._row_blocks(len(x), x.shape[1])[1])) as pool:
+                got = km._kmeanspp_init(pool, x, k, np.random.default_rng(3))
+            return got, assign(x, got)
+
+        got, labels = _at_widths(run)
         assert got.tobytes() == exp.tobytes()
-        np.testing.assert_array_equal(assign(x, got), _old_assign(x, exp))
+        np.testing.assert_array_equal(labels, _old_assign(x, exp))
 
     @pytest.mark.parametrize("d", [3, 20, 130])
     def test_sq_dist_matches_unblocked(self, d, cells):
@@ -198,10 +218,16 @@ class TestRowBlockedBitIdentity:
         x = g.standard_normal((1001, d))
         centers = g.standard_normal((7, d))
         labels = g.integers(0, 7, len(x))
-        got = np.empty(len(x))
-        km._sq_dist(x, centers[2], got)
+
+        def run(c, lab=None):
+            got = np.empty(len(x))
+            with km._Pool(len(km._row_blocks(*x.shape)[1])) as pool:
+                km._sq_dist(pool, x, c, got, lab)
+            return (got,)
+
+        (got,) = _at_widths(lambda: run(centers[2]))
         assert got.tobytes() == ((x - centers[2]) ** 2).sum(axis=1).tobytes()
-        km._sq_dist(x, centers, got, labels)
+        (got,) = _at_widths(lambda: run(centers, labels))
         assert got.tobytes() == ((x - centers[labels]) ** 2).sum(axis=1).tobytes()
 
     def test_duplicate_inputs_reach_the_reseed(self):
@@ -226,6 +252,43 @@ class TestRowBlockedBitIdentity:
         assert n == 1 or min(b - a for a, b in blocks) > 1
         step = max(km._ROW_ALIGN, cells // width // km._ROW_ALIGN * km._ROW_ALIGN)
         assert rows <= step + 1
+
+
+# 64 distinct points, 256 copies each: k-means++ runs out of distinct
+# points, duplicate centers tie and the reseed runs. At the default budget
+# every kernel has at least 16 blocks, so four workers get a shard each.
+POOL_TIES = (_dups(64, 256, 64, seed=16), 100)
+
+
+class TestPool:
+    def test_pool_engages_on_the_tie_case(self):
+        x, k = POOL_TIES
+        for width in (x.shape[1], k):  # ``_sq_dist``'s and ``assign``'s blocks
+            assert len(km._row_blocks(len(x), width)[1]) >= 4 * km._SHARD_BLOCKS
+        init = _old_kmeanspp_init(x, k, np.random.default_rng(5))
+        assert (np.bincount(_old_assign(x, init), minlength=k) == 0).any()
+
+    def test_width_keeps_bits_on_ties(self):
+        x, k = POOL_TIES
+        _at_widths(lambda: kmeans(x, k, seed=5))
+
+    def test_one_cpu_starts_no_thread(self):
+        x = np.random.default_rng(17).standard_normal((20_000, 16))
+        before = threading.active_count()
+        starts = []
+        start = threading.Thread.start
+
+        def record(thread):
+            starts.append(threading.active_count())
+            start(thread)
+
+        with mock.patch.object(threading.Thread, "start", record):
+            for cpus in ({0}, {0, 1, 2, 3}):
+                with mock.patch.object(km.os, "sched_getaffinity", return_value=cpus):
+                    kmeans(x, 200, seed=0, n_iter=2)
+                assert threading.active_count() == before
+                # One CPU starts no thread; four start a pool's (the control).
+                assert bool(starts) == (len(cpus) > 1)
 
 
 class TestMemoryBound:
@@ -285,3 +348,29 @@ class TestBuildIdentity:
         assert len(got_rows) == len(exp_rows)
         for got, exp in zip(got_rows, exp_rows):
             assert got == exp
+
+
+def test_traced_functions_stay_on_the_calling_thread():
+    """The benchmark's tracer keeps one span stack: every function it wraps
+    must run on the thread that called ``build_index``."""
+    s = SCALES["test"]
+    ds = kg_entities(n=s.kg_n, dim=s.kg_dim, seed=0)
+    wl = relatedqs_workload(ds, n_queries_per_split=s.relatedqs_per_split, seed=0)[0]
+    calls = []
+
+    def on_thread(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return mock.patch.object(owner, name, wrapper)
+
+    with on_thread(layout, "kmeans"), on_thread(ivf, "pairwise_scores"), \
+            on_thread(ivf, "topk_rows"), on_thread(km, "ThreadPoolExecutor"), \
+            mock.patch.object(km, "_cpus", return_value=4):
+        for approach, m in (("hqi", 0), ("hqi", 2), ("prefilter", 0)):
+            build_index(approach, ds, wl if approach == "hqi" else None,
+                        min_size=s.min_size, n_buckets=s.n_buckets, m=m)
+    assert {n for n, _ in calls} >= {"kmeans", "ThreadPoolExecutor"}
+    assert {t for _, t in calls} == {threading.get_ident()}
