@@ -63,18 +63,18 @@ def _row_blocks(n: int, width: int) -> tuple[int, list[tuple[int, int]]]:
     return max((b - a for a, b in blocks), default=0), blocks
 
 
-def _cpus() -> int:
+def cpus() -> int:
     """CPUs in this process's affinity mask: the most workers a pool gets."""
     return len(os.sched_getaffinity(0))
 
 
 class _Pool:
     """Runs the row blocks of one ``kmeans`` (or ``assign``) call's
-    kernels: on ``min(_cpus(), n_blocks // _SHARD_BLOCKS)`` threads when
+    kernels: on ``min(cpus(), n_blocks // _SHARD_BLOCKS)`` threads when
     that is above 1, else inline. The threads end on ``__exit__``."""
 
     def __init__(self, n_blocks: int):
-        self.width = min(_cpus(), max(1, n_blocks // _SHARD_BLOCKS))
+        self.width = min(cpus(), max(1, n_blocks // _SHARD_BLOCKS))
         self._pool = ThreadPoolExecutor(self.width) if self.width > 1 else None
 
     def __enter__(self) -> "_Pool":
@@ -138,6 +138,19 @@ def _sq_dist(
     pool.run(blocks, (rows, x.shape[1]), block)
 
 
+def _draw(
+    rng: np.random.Generator, w: np.ndarray, total: float, cdf: np.ndarray
+) -> int:
+    """An index drawn with probability ``w / total``, ``cdf`` scratch of
+    ``w``'s shape. This is ``rng.choice(len(w), p=w / total)``'s own
+    arithmetic on numpy 1.26, so it draws the same index from the same
+    stream, without choice's per-call validation of ``p``."""
+    np.divide(w, total, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp_init(
     pool: _Pool, x: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -148,14 +161,13 @@ def _kmeanspp_init(
     centers[0] = x[rng.integers(n)]
     d2 = np.empty(n, dtype=np.float64)
     _sq_dist(pool, x, centers[0], d2)
-    nd2 = np.empty_like(d2)
+    nd2, cdf = np.empty_like(d2), np.empty_like(d2)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[i:] = x[rng.integers(n, size=k - i)]
             break
-        probs = d2 / total
-        centers[i] = x[rng.choice(n, p=probs)]
+        centers[i] = x[_draw(rng, d2, total, cdf)]
         _sq_dist(pool, x, centers[i], nd2)
         np.minimum(d2, nd2, out=d2)
     return centers

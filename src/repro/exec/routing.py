@@ -42,7 +42,8 @@ def _expand(
 ) -> pd.DataFrame:
     """Routed rows of the ``(nq, n_parts)`` bool matrix ``routed``: by
     template, then query position (or by position only), each query's pids
-    ascending, each row with its template's nprobe."""
+    ascending, each row with its template's nprobe. A template with nprobe
+    0 probes nothing, so its queries get no rows."""
     tids, key = np.unique(workload.qtemplates, return_inverse=True)
     nprobe = np.array([params.nprobe(int(t)) for t in tids], dtype=np.int64)
     qpos = (
@@ -50,6 +51,7 @@ def _expand(
         if by_template
         else np.arange(workload.nq)
     )
+    qpos = qpos[nprobe[key[qpos]] > 0]
     row_q, pid = np.nonzero(routed[qpos])
     qpos = qpos[row_q]
     return pd.DataFrame(

@@ -4,9 +4,12 @@
 query template to reach the target recall [0.8 at k = 10]." We tune all
 templates jointly: run once with the current per-template configuration,
 measure per-template recall on a query sample, double nprobe for the
-templates still below target, repeat. Templates that cannot reach the
-target at the nprobe cap (PostFilter on selective filters) are reported
-with their best achieved recall — the paper's "-" entries.
+templates still below target, repeat. Each round after the first runs
+only the templates still below target: the others run at nprobe 0,
+which routes no rows, and their recall is not read again. Templates that
+cannot reach the target at the nprobe cap (PostFilter on selective
+filters) are reported with their best achieved recall — the paper's "-"
+entries.
 """
 from __future__ import annotations
 
@@ -52,7 +55,7 @@ def tune_nprobe(
     pending = set(tids)
     best_recall: dict[int, float] = {t: 0.0 for t in tids}
     while True:
-        result = run_fn(dict(nprobe))
+        result = run_fn({t: nprobe[t] if t in pending else 0 for t in tids})
         recalls = recall_by_template(result, gt, sample)
         for t in list(pending):
             best_recall[t] = recalls.get(t, 0.0)

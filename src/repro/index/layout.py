@@ -3,13 +3,14 @@
 Every approach's physical layout is planned on the driver (deterministic
 numpy — the qd-tree recursion, range bucketing, or global IVF training),
 which fixes each row's partition id (``pid``). ``materialize_local`` then
-trains each partition's IVF on the driver and returns ``PartitionData``
-objects, their rows in posting-list order; this is the only build of the
-index. For the Spark engine, ``materialize_spark`` ships those partitions
-as a cached DataFrame of ``PartitionData.pack`` rows, one row per
-partition, repartitioned by ``pid`` — the "vector index layout
-partitioned across DataFrame partitions". Each row carries its
-partition's centroids, so a Spark task needs nothing but its row.
+trains each partition's IVF on the driver (in forked worker processes
+when there is more than one CPU and partition) and returns
+``PartitionData`` objects, their rows in posting-list order; this is the
+only build of the index. For the Spark engine, ``materialize_spark``
+ships those partitions as a cached DataFrame of ``PartitionData.pack``
+rows, one row per partition, repartitioned by ``pid`` — the "vector
+index layout partitioned across DataFrame partitions". Each row carries
+its partition's centroids, so a Spark task needs nothing but its row.
 
 Layout kinds:
 
@@ -25,6 +26,8 @@ Layout kinds:
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +35,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.distance import pairwise_scores
-from repro.core.kmeans import kmeans
+from repro.core.kmeans import cpus, kmeans
 from repro.core.predicates import In, dictionary_encode
 from repro.core.qdtree import QDTree, QueryGroup, construct_balanced_qdtree, extract_atoms
 from repro.core.types import Dataset, Workload
@@ -190,9 +193,50 @@ def _train_partition(pid: int, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return kmeans(vecs, n_lists, seed=_PART_SEED + pid)
 
 
+# ``(vecs, rows_of)`` while ``_train_partitions``' pool is open. The
+# workers are forked, so they inherit it: a task sends only its pid and
+# returns only its centroids and labels.
+_STAGED: tuple[np.ndarray, dict[int, np.ndarray]] | None = None
+
+
+def _train_staged(pid: int) -> tuple[np.ndarray, np.ndarray]:
+    vecs, rows_of = _STAGED
+    return _train_partition(pid, vecs[rows_of[pid]])
+
+
+def _train_partitions(
+    vecs: np.ndarray, rows_of: dict[int, np.ndarray]
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``_train_partition`` for every pid of ``rows_of`` (pid -> its rows).
+
+    The partitions' k-means are independent and hold the GIL (seeding, the
+    per-dimension ``bincount``), so they run in forked worker processes:
+    ``min(CPUs in the affinity mask, partitions)`` of them, largest
+    partition first, since the largest sets the critical path. The pool
+    closes before this returns. With one worker, or where ``fork`` is not
+    available, they run inline and no process starts. Seeds are pid-keyed
+    and each partition's k-means is the same call wherever it runs, so the
+    result does not depend on the pool.
+    """
+    global _STAGED
+    width = min(cpus(), len(rows_of))
+    if width <= 1 or "fork" not in mp.get_all_start_methods():
+        return {pid: _train_partition(pid, vecs[rows]) for pid, rows in rows_of.items()}
+    largest_first = sorted(rows_of, key=lambda pid: len(rows_of[pid]), reverse=True)
+    _STAGED = (vecs, rows_of)
+    try:
+        with ProcessPoolExecutor(width, mp_context=mp.get_context("fork")) as pool:
+            futures = {pid: pool.submit(_train_staged, pid) for pid in largest_first}
+            return {pid: f.result() for pid, f in futures.items()}
+    finally:
+        _STAGED = None
+
+
 def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, PartitionData]:
     """Build every partition's index on the driver: dict pid -> PartitionData.
 
+    ``hqi`` and ``range`` partitions train their IVFs with
+    ``_train_partitions``; ``flat`` buckets take theirs from the plan.
     Each partition's string attributes are dictionary-encoded here, once,
     so every copy of it (packed, shipped, persisted) holds dictionary
     codes. Encoding each partition's slice, not a copy of the whole frame,
@@ -201,11 +245,14 @@ def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, Partit
     pdf = dataset.pdf
     vecs = dataset.vecs()
     ids = dataset.ids()
-    parts: dict[int, PartitionData] = {}
+    rows_of = {}
     for pid in range(plan.n_parts):
         rows = np.flatnonzero(plan.pid_of_row == pid)
-        if not len(rows):
-            continue
+        if len(rows):
+            rows_of[pid] = rows
+    trained = {} if plan.kind == "flat" else _train_partitions(vecs, rows_of)
+    parts: dict[int, PartitionData] = {}
+    for pid, rows in rows_of.items():
         if plan.kind == "flat":
             # Global list pid + j * n_buckets is local list j.
             labels = plan.list_of_row[rows] // plan.n_buckets
@@ -213,7 +260,7 @@ def materialize_local(dataset: Dataset, plan: PartitionPlan) -> dict[int, Partit
                 plan.global_centroids[pid :: plan.n_buckets]
             )
         else:
-            centroids, labels = _train_partition(pid, vecs[rows])
+            centroids, labels = trained[pid]
         # List order; the stable sort keeps dataset order within a list.
         order = np.argsort(labels, kind="stable")
         rows, labels = rows[order], labels[order]

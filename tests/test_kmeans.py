@@ -1,4 +1,5 @@
 """Unit tests for the seeded numpy k-means (S3)."""
+import os
 import threading
 import tracemalloc
 from unittest import mock
@@ -171,7 +172,7 @@ def _at_widths(fn):
     results must match each other bit for bit, and are returned once."""
     out = []
     for width in (1, 4):
-        with mock.patch.object(km, "_cpus", return_value=width):
+        with mock.patch.object(km, "cpus", return_value=width):
             out.append(fn())
     for a, b in zip(*out):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -291,6 +292,26 @@ class TestPool:
                 assert bool(starts) == (len(cpus) > 1)
 
 
+class TestDraw:
+    """k-means++ draws through ``_draw``, which must pick the index
+    ``rng.choice(n, p=w / total)`` picks and leave the stream where choice
+    leaves it. A numpy release that changes choice fails here."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 1000, 60_000])
+    def test_matches_rng_choice(self, n):
+        for seed in range(5):
+            g = np.random.default_rng(100 + seed)
+            w = g.random(n) ** 4
+            w[g.random(n) < 0.3] = 0.0  # rows already chosen weigh 0
+            if not w.any():
+                w[-1] = 1.0
+            total, cdf = w.sum(), np.empty(n)
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(40):
+                assert km._draw(mine, w, total, cdf) == ref.choice(n, p=w / total)
+            assert mine.random() == ref.random()
+
+
 class TestMemoryBound:
     """A single 20 000 x 200 float64 distance matrix is 32 MB."""
 
@@ -350,27 +371,42 @@ class TestBuildIdentity:
             assert got == exp
 
 
-def test_traced_functions_stay_on_the_calling_thread():
-    """The benchmark's tracer keeps one span stack: every function it wraps
-    must run on the thread that called ``build_index``."""
+def test_traced_functions_stay_on_the_calling_thread(tmp_path):
+    """The benchmark's tracer keeps one span stack per process. In the
+    driver, every function it wraps must run on the thread that called
+    ``build_index``. The partitions' IVFs train in forked worker
+    processes, each task on its worker's main thread; the spans a worker
+    records stay in that worker, so the driver's ``kmeans`` spans cover
+    the global k-means (PreFilter's IVF, the routing centroids) only."""
     s = SCALES["test"]
     ds = kg_entities(n=s.kg_n, dim=s.kg_dim, seed=0)
     wl = relatedqs_workload(ds, n_queries_per_split=s.relatedqs_per_split, seed=0)[0]
-    calls = []
+    log = tmp_path / "calls"
 
     def on_thread(owner, name):
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, threading.get_ident()))
+            # Appended from every process, forked workers included.
+            with open(log, "a") as f:
+                f.write(f"{name} {os.getpid()} {threading.get_ident()} "
+                        f"{threading.main_thread().ident}\n")
             return fn(*args, **kwargs)
         return mock.patch.object(owner, name, wrapper)
 
     with on_thread(layout, "kmeans"), on_thread(ivf, "pairwise_scores"), \
             on_thread(ivf, "topk_rows"), on_thread(km, "ThreadPoolExecutor"), \
-            mock.patch.object(km, "_cpus", return_value=4):
+            mock.patch.object(km, "cpus", return_value=4), \
+            mock.patch.object(layout, "cpus", return_value=4):
         for approach, m in (("hqi", 0), ("hqi", 2), ("prefilter", 0)):
             build_index(approach, ds, wl if approach == "hqi" else None,
                         min_size=s.min_size, n_buckets=s.n_buckets, m=m)
-    assert {n for n, _ in calls} >= {"kmeans", "ThreadPoolExecutor"}
-    assert {t for _, t in calls} == {threading.get_ident()}
+    calls = [line.split() for line in log.read_text().splitlines()]
+    driver = [(n, int(t)) for n, p, t, _ in calls if int(p) == os.getpid()]
+    workers = [(n, t == main) for n, p, t, main in calls if int(p) != os.getpid()]
+    assert {n for n, _ in driver} >= {"kmeans", "ThreadPoolExecutor"}
+    assert {t for _, t in driver} == {threading.get_ident()}
+    # Two routing/global k-means in the driver; every leaf in a worker.
+    assert sum(n == "kmeans" for n, _ in driver) == 2
+    assert sum(n == "kmeans" for n, _ in workers) > 2
+    assert all(on_main for _, on_main in workers)

@@ -94,6 +94,30 @@ def test_template_without_nprobe_raises(kind, ms, ms_load):
         route_queries(plan, ms_load, params)
 
 
+@pytest.mark.parametrize("kind", ["hqi", "hqi-m2", "range", "flat"])
+def test_nprobe_zero_routes_no_rows(kind, ms, ms_load):
+    """A template at nprobe 0 probes nothing, so it gets no routed rows;
+    every other template's rows are the ones it gets on its own."""
+    plan = {
+        "hqi": lambda: plan_hqi(ms, ms_load, min_size=256),
+        "hqi-m2": lambda: plan_hqi(ms, ms_load, m=2, min_size=256),
+        "range": lambda: plan_range(ms, attr="A", n_parts=8),
+        "flat": lambda: plan_flat(ms, n_buckets=4, seed=0),
+    }[kind]()
+    params, _ = _template_nprobe(ms_load, ms.metric)
+    every = route_queries(plan, ms_load, params)
+    zero = set(list(params.nprobe_by_tid)[::2])
+    params.nprobe_by_tid = {
+        t: 0 if t in zero else n for t, n in params.nprobe_by_tid.items()
+    }
+    got = route_queries(plan, ms_load, params)
+    assert not got["tid"].isin(zero).any()
+    assert (got["nprobe"] > 0).all()
+    exp = every[~every["tid"].isin(zero)].reset_index(drop=True)
+    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
+    assert len(got) and len(got) < len(every)
+
+
 class TestRangeRouting:
     @pytest.fixture(scope="class")
     def plan(self, ms):

@@ -3,10 +3,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.bench.config import SCALES
+from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.core.ivf import SearchStats
 from repro.core.predicates import Cmp, Conjunction
 from repro.core.types import Dataset, Workload, vec_matrix
 from repro.exec.engine import RunResult
+from repro.exec.recall import exhaustive_local
+from repro.exec.strategies import build_index, run_queries
 from repro.exec.tuning import sample_workload, tune_nprobe
 
 
@@ -153,3 +157,37 @@ class TestSearchStatsContainer:
         r = RunResult(stats_by_tid={1: SearchStats(5, 2), 2: SearchStats(7, 3)})
         assert r.tuples_scanned == 12
         assert r.distance_computations == 5
+
+
+class TestTunerRunsPendingTemplatesOnly:
+    """Rounds after the first run the templates still below target only;
+    the others run at nprobe 0. The outcome equals running every template
+    at its latest nprobe in every round."""
+
+    @pytest.mark.parametrize("approach", ["hqi", "range", "prefilter"])
+    def test_outcome_equals_running_every_template(self, approach):
+        s = SCALES["test"]
+        ds = bigann_lite("msturing", n=s.bigann_n, seed=0)
+        wl = bigann_workload(ds, nq=s.bigann_nq, seed=1)
+        built = build_index(
+            approach, ds, None if approach == "prefilter" else wl,
+            min_size=s.min_size, n_buckets=s.n_buckets,
+        )
+        sample = sample_workload(wl, s.tune_per_template)
+        gt = exhaustive_local(ds, sample, s.k)
+        configs, latest = [], {}
+
+        def pending_only(cfg):
+            configs.append(cfg)
+            return run_queries(built, sample, k=s.k, nprobe_by_tid=cfg)
+
+        def every_template(cfg):
+            latest.update({t: n for t, n in cfg.items() if n})
+            return run_queries(built, sample, k=s.k, nprobe_by_tid=dict(latest))
+
+        args = dict(target=s.target_recall, max_nprobe=int(np.sqrt(ds.n)) + 1)
+        got = tune_nprobe(pending_only, sample, gt, **args)
+        assert got == tune_nprobe(every_template, sample, gt, **args)
+        # Some round skipped a template that had reached the target.
+        assert any(0 in cfg.values() for cfg in configs[1:])
+        assert 0 not in configs[0].values()
