@@ -212,8 +212,11 @@ def _train_partitions(
     The partitions' k-means are independent and hold the GIL (seeding, the
     per-dimension ``bincount``), so they run in forked worker processes:
     ``min(CPUs in the affinity mask, partitions)`` of them, largest
-    partition first, since the largest sets the critical path. The pool
-    closes before this returns. With one worker, or where ``fork`` is not
+    partition first, since the largest sets the critical path. ``fork``,
+    not ``spawn``: a spawned worker would be sent its rows pickled and
+    would re-import ``__main__`` (DESIGN.md §5 has the measurements and
+    the caveat about forking beside PySpark's threads). The pool closes
+    before this returns. With one worker, or where ``fork`` is not
     available, they run inline and no process starts. Seeds are pid-keyed
     and each partition's k-means is the same call wherever it runs, so the
     result does not depend on the pool.
