@@ -122,10 +122,6 @@ def run_approach(
 ) -> BenchRow:
     row = BenchRow(dataset=name, approach=approach)
     try:
-        if approach == "range" and index_workload is None:
-            # LP: no range-partitionable attribute either (type-equality
-            # templates) — same NA as RelatedQS (paper footnote 2).
-            raise RangeNotApplicable("no range predicate in workload")
         built = build_index(
             approach,
             dataset,

@@ -21,7 +21,8 @@ A query group models a set of identical queries: a conjunction of
 attribute atoms (all must be satisfiable in a partition for it to be
 routed there) plus an optional disjunctive set of centroid atoms (the
 query's ``m`` nearest centroids — the partition must contain at least
-one of them).
+one of them). One rule, ``subsumes``, decides which groups a partition
+serves: for the build's cut cost and child groups, and for routing.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ class Leaf:
     pid: int
     n_rows: int
     any_true: np.ndarray  # semantic description: atom satisfiable in partition
-    row_idx: np.ndarray | None = None  # training-set rows (dropped when persisted)
+    row_idx: np.ndarray | None = None  # training-set rows
 
 
 @dataclass
@@ -56,14 +57,27 @@ class Internal:
     right: "Internal | Leaf" = None
 
 
-def _routed(any_true: np.ndarray, g: QueryGroup) -> bool:
-    """Does a partition with satisfiability bits ``any_true`` subsume g?"""
-    for j in g.and_idxs:
-        if not any_true[j]:
-            return False
-    if g.or_idxs:
-        return any(any_true[j] for j in g.or_idxs)
-    return True
+def group_matrices(groups: list[QueryGroup], n_atoms: int):
+    """``(need, some, weight)``: the groups' AND and OR atoms as
+    ``(len(groups), n_atoms)`` float32 0/1 matrices, and their weights
+    (float64, so weighted sums are exact integers and use BLAS)."""
+    need = np.zeros((len(groups), n_atoms), dtype=np.float32)
+    some = np.zeros_like(need)
+    for i, g in enumerate(groups):
+        need[i, list(g.and_idxs)] = 1
+        some[i, list(g.or_idxs)] = 1
+    return need, some, np.array([g.weight for g in groups], dtype=np.float64)
+
+
+def subsumes(need: np.ndarray, some: np.ndarray, sat: np.ndarray) -> np.ndarray:
+    """``(groups, partitions)`` bool: does a partition with satisfiability
+    bits ``sat[p]`` (``(partitions, atoms)`` bool) subsume group i? Every
+    AND atom must be satisfiable, and some OR atom when the group has any.
+    Both products count atoms, so they are exact in float32."""
+    bits = sat.T.astype(need.dtype)
+    return ((need @ (1 - bits)) == 0) & (
+        ((some @ bits) > 0) | ~some.any(axis=1, keepdims=True)
+    )
 
 
 @dataclass
@@ -81,18 +95,9 @@ class QDTree:
     # ---------------------------------------------------------------- routing
     def route_groups(self, groups: list[QueryGroup]) -> np.ndarray:
         """``(len(groups), n_leaves)`` bool: ``[i, pid]`` is set iff leaf
-        ``pid``'s semantic description subsumes ``groups[i]`` (as
-        ``_routed`` decides), for all groups at once against one leaves ×
-        atoms satisfiability matrix."""
-        sat = np.array([lf.any_true for lf in self.leaves], dtype=bool).T
-        need = np.zeros((len(groups), len(self.atoms)), dtype=bool)
-        some = np.zeros_like(need)
-        for i, g in enumerate(groups):
-            need[i, list(g.and_idxs)] = True
-            some[i, list(g.or_idxs)] = True
-        # No AND atom unsatisfiable, and some OR atom satisfiable when the
-        # group has any.
-        return ~(need @ ~sat) & ((some @ sat) | ~some.any(axis=1, keepdims=True))
+        ``pid``'s semantic description subsumes ``groups[i]``."""
+        need, some, _ = group_matrices(groups, len(self.atoms))
+        return subsumes(need, some, np.array([lf.any_true for lf in self.leaves]))
 
     def group_for(self, and_atoms, or_atoms=()) -> QueryGroup:
         """Build a QueryGroup from Atom objects. Atoms outside the cut set
@@ -135,20 +140,23 @@ def construct_balanced_qdtree(
     atoms: list,
     groups: list[QueryGroup],
     *,
-    min_size: int = 64,
+    min_size: int,
 ) -> QDTree:
     """Algorithm 1 (ConstructBalancedQDTree).
 
     ``atom_matrix`` is the (n_tuples × n_atoms) boolean evaluation of every
     cut predicate over the database — computed once, with numpy, by
     ``plan_hqi``. Construction itself is a driver-side recursion over
-    row-index arrays (the matrix for 100K tuples × ~50 atoms is a few MB).
+    row-index arrays and group-index arrays; every node decides which
+    groups a side subsumes with ``subsumes``, as routing does.
     """
     atom_matrix = np.ascontiguousarray(atom_matrix, dtype=bool)
     n, n_atoms = atom_matrix.shape
     if len(atoms) != n_atoms:
         raise ValueError("atom list does not match matrix width")
     tree = QDTree(atoms=atoms)
+    need, some, weight = group_matrices(groups, n_atoms)
+    uses = (need + some) > 0  # atoms each group references
 
     def make_leaf(rows: np.ndarray) -> Leaf:
         lf = Leaf(
@@ -162,60 +170,49 @@ def construct_balanced_qdtree(
         tree.leaves.append(lf)
         return lf
 
-    def build(rows: np.ndarray, node_groups: list[QueryGroup]):
-        if len(rows) <= min_size or not node_groups:
+    def build(rows: np.ndarray, gs: np.ndarray):
+        if len(rows) <= min_size or not len(gs):
             return make_leaf(rows)
         sub = atom_matrix[rows]
-        any_t, all_t = sub.any(axis=0), sub.all(axis=0)
-        # Candidate cut predicates: atoms referenced by this node's queries
+        # Candidate cut predicates: atoms referenced by this node's groups
         # that are mixed (can actually split these rows).
-        cand = sorted(
-            {
-                j
-                for g in node_groups
-                for j in (*g.and_idxs, *g.or_idxs)
-                if any_t[j] and not all_t[j]
-            }
+        cand = np.flatnonzero(
+            uses[gs].any(axis=0) & sub.any(axis=0) & ~sub.all(axis=0)
         )
-        if not cand:
+        if not len(cand):
             return make_leaf(rows)
+        # Row counts per atom are exact in float32 below 2**24 rows.
+        sub_f = sub.astype(np.float32 if len(rows) < 1 << 24 else np.float64)
+        g_need, g_some, g_weight = need[gs], some[gs], weight[gs]
         split_idxs: list[int] = []
         union = np.zeros(len(rows), dtype=bool)
         # Accumulate min-cost predicates until the left side is balanced.
-        while len(np.flatnonzero(union)) * 2 <= len(rows) and cand:
-            best = None  # (cost, -|L| balance tie-break, atom idx, new union)
-            for j in cand:
-                u = union | sub[:, j]
-                n_l = int(u.sum())
-                if n_l == len(rows):
-                    continue  # degenerate: right side would be empty
-                l_bits = atom_matrix[rows[u]].any(axis=0)
-                r_bits = atom_matrix[rows[~u]].any(axis=0)
-                cost = sum(
-                    g.weight
-                    * (int(_routed(l_bits, g)) + int(_routed(r_bits, g)))
-                    for g in node_groups
-                )
-                key = (cost, -n_l, j)
-                if best is None or key < best[0]:
-                    best = (key, j, u)
-            if best is None:
+        # All candidates are scored at once: a cut moves its rows outside
+        # the union left, and the right side keeps the other rows outside.
+        while np.count_nonzero(union) * 2 <= len(rows) and len(cand):
+            rest = sub_f[~union]
+            moved = rest[:, cand]
+            n_l = np.count_nonzero(union) + moved.sum(axis=0)
+            moved_t = moved.T @ rest
+            l_bits = (moved_t > 0) | sub[union].any(axis=0)
+            r_bits = (rest.sum(axis=0) - moved_t) > 0
+            ok = subsumes(g_need, g_some, np.concatenate([l_bits, r_bits]))
+            cost = (g_weight @ ok).reshape(2, -1).sum(axis=0)
+            # Key (cost, -|L| balance tie-break, atom idx); a cut that
+            # leaves the right side empty is degenerate and sorts last.
+            best = np.lexsort((cand, -n_l, cost, n_l == len(rows)))[0]
+            if n_l[best] == len(rows):
                 break
-            j, union = best[1], best[2]
-            cand.remove(j)
-            split_idxs.append(j)
-        n_left = int(union.sum())
-        if n_left == 0 or n_left == len(rows):
-            return make_leaf(rows)
-        left_rows, right_rows = rows[union], rows[~union]
-        l_bits = atom_matrix[left_rows].any(axis=0)
-        r_bits = atom_matrix[right_rows].any(axis=0)
-        q_left = [g for g in node_groups if _routed(l_bits, g)]
-        q_right = [g for g in node_groups if _routed(r_bits, g)]
+            union |= sub[:, cand[best]]
+            split_idxs.append(cand[best])
+            cand = np.delete(cand, best)
+        # The first cut is never degenerate, so both sides are non-empty.
+        sides = np.stack([sub[union].any(axis=0), sub[~union].any(axis=0)])
+        routed = subsumes(g_need, g_some, sides)
         node = Internal(split_atoms=tuple(atoms[j] for j in split_idxs))
-        node.left = build(left_rows, q_left)
-        node.right = build(right_rows, q_right)
+        node.left = build(rows[union], gs[routed[:, 0]])
+        node.right = build(rows[~union], gs[routed[:, 1]])
         return node
 
-    tree.root = build(np.arange(n), list(groups))
+    tree.root = build(np.arange(n), np.arange(len(groups)))
     return tree

@@ -92,20 +92,29 @@ def _route_hqi(plan: PartitionPlan, workload: Workload, params: ExecParams) -> p
     )
 
 
+def range_cut(template, attr: str) -> Cmp | None:
+    """The template's predicate that Strategy C prunes on, ``attr < v`` or
+    ``attr <= v`` over the partitioning attribute, or None."""
+    return next(
+        (
+            p
+            for p in template
+            if isinstance(p, Cmp) and p.attr == attr and p.op in ("<", "<=")
+        ),
+        None,
+    )
+
+
 def _range_pids(template, plan: PartitionPlan) -> list[int]:
-    for p in template:
-        if (
-            isinstance(p, Cmp)
-            and p.attr == plan.range_attr
-            and p.op in ("<", "<=")
-        ):
-            # Partition b covers [edges[b-1], edges[b]): "attr < v" touches
-            # those whose lower edge is below v, "attr <= v" those whose
-            # lower edge is at most v.
-            side = "left" if p.op == "<" else "right"
-            n = 1 + int(np.searchsorted(plan.range_edges, p.value, side=side))
-            return list(range(min(n, plan.n_parts)))
-    return list(range(plan.n_parts))  # no prunable predicate: scan all
+    p = range_cut(template, plan.range_attr)
+    if p is None:
+        return list(range(plan.n_parts))  # no prunable predicate: scan all
+    # Partition b covers [edges[b-1], edges[b]): "attr < v" touches those
+    # whose lower edge is below v, "attr <= v" those whose lower edge is
+    # at most v.
+    side = "left" if p.op == "<" else "right"
+    n = 1 + int(np.searchsorted(plan.range_edges, p.value, side=side))
+    return list(range(min(n, plan.n_parts)))
 
 
 def _route_range(plan: PartitionPlan, workload: Workload, params: ExecParams) -> pd.DataFrame:

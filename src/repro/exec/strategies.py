@@ -23,10 +23,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.predicates import Cmp
 from repro.core.types import Dataset, Workload
 from repro.exec.engine import ExecParams, RunResult, Timer, post_filter
 from repro.exec.local_engine import run_local
+from repro.exec.routing import range_cut
 from repro.exec.spark_engine import run_spark
 from repro.index.layout import (
     PartitionPlan,
@@ -59,12 +59,7 @@ class BuiltIndex:
 
 
 def _check_range_applicable(workload: Workload, attr: str) -> None:
-    ok = any(
-        isinstance(p, Cmp) and p.attr == attr and p.op in ("<", "<=")
-        for t in workload.templates.values()
-        for p in t
-    )
-    if not ok:
+    if all(range_cut(t, attr) is None for t in workload.templates.values()):
         raise RangeNotApplicable(
             f"no range predicate over partitioning attribute {attr!r}"
         )

@@ -182,9 +182,13 @@ class TestPostFilter:
 
 
 class TestRangeApplicability:
-    def test_range_rejected_for_kg_templates(self, kg, kg_load):
+    @pytest.mark.parametrize("templates", ["relatedqs", "lp"])
+    def test_range_rejected_for_kg_templates(self, kg, kg_load, templates):
+        """RelatedQS's IN / IS NOT NULL and LP's ``etype =`` templates have
+        no range predicate over the partitioning attribute: Table 3's NA."""
+        wl = kg_load if templates == "relatedqs" else lp_workload(kg, n_queries=50)
         with pytest.raises(RangeNotApplicable):
-            build_index("range", kg, kg_load)
+            build_index("range", kg, wl)
 
     def test_range_prunes_a_filters_not_b_filters(self, ms, ms_load):
         """Strategy C prunes only queries over the partitioning attribute

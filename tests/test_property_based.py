@@ -12,7 +12,7 @@ from repro.core import ivf
 from repro.core.ivf import PAD_ID, IVFIndex, SearchStats
 from repro.core.kmeans import kmeans
 from repro.core.predicates import Cmp, Conjunction, In, NotNull, dictionary_encode
-from repro.core.qdtree import QueryGroup, _routed, construct_balanced_qdtree
+from repro.core.qdtree import Leaf, QueryGroup, construct_balanced_qdtree
 
 
 @st.composite
@@ -255,7 +255,121 @@ class TestIVFProperties:
         assert labels.min() >= 0 and labels.max() < len(centers)
 
 
+def scalar_routed(any_true: np.ndarray, g: QueryGroup) -> bool:
+    """Does a partition with satisfiability bits ``any_true`` subsume g?
+    One (partition, group) pair at a time: the oracle for ``subsumes``."""
+    for j in g.and_idxs:
+        if not any_true[j]:
+            return False
+    if g.or_idxs:
+        return any(any_true[j] for j in g.or_idxs)
+    return True
+
+
+def scalar_qdtree(matrix: np.ndarray, groups: list, min_size: int):
+    """Algorithms 1–2, one candidate cut and one group at a time. Returns
+    the tree as nested ``(split atom idxs, left, right)`` tuples, each leaf
+    its sorted row list."""
+
+    def build(rows, node_groups):
+        if len(rows) <= min_size or not node_groups:
+            return sorted(rows.tolist())
+        sub = matrix[rows]
+        any_t, all_t = sub.any(axis=0), sub.all(axis=0)
+        cand = sorted(
+            {
+                j
+                for g in node_groups
+                for j in (*g.and_idxs, *g.or_idxs)
+                if any_t[j] and not all_t[j]
+            }
+        )
+        if not cand:
+            return sorted(rows.tolist())
+        split, union = [], np.zeros(len(rows), dtype=bool)
+        while union.sum() * 2 <= len(rows) and cand:
+            best = None  # ((cost, -|L|, atom idx), atom idx, new union)
+            for j in cand:
+                u = union | sub[:, j]
+                n_l = int(u.sum())
+                if n_l == len(rows):
+                    continue  # degenerate: right side would be empty
+                l_bits, r_bits = sub[u].any(axis=0), sub[~u].any(axis=0)
+                cost = sum(
+                    g.weight * (scalar_routed(l_bits, g) + scalar_routed(r_bits, g))
+                    for g in node_groups
+                )
+                if best is None or (cost, -n_l, j) < best[0]:
+                    best = ((cost, -n_l, j), j, u)
+            if best is None:
+                break
+            _, j, union = best
+            cand.remove(j)
+            split.append(j)
+        if union.sum() in (0, len(rows)):
+            return sorted(rows.tolist())
+        l_bits, r_bits = sub[union].any(axis=0), sub[~union].any(axis=0)
+        return (
+            tuple(split),
+            build(rows[union], [g for g in node_groups if scalar_routed(l_bits, g)]),
+            build(rows[~union], [g for g in node_groups if scalar_routed(r_bits, g)]),
+        )
+
+    return build(np.arange(len(matrix)), list(groups))
+
+
+def tree_shape(tree):
+    """A built tree in ``scalar_qdtree``'s nested form."""
+    idx = {a: i for i, a in enumerate(tree.atoms)}
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            return sorted(node.row_idx.tolist())
+        return (
+            tuple(idx[a] for a in node.split_atoms),
+            walk(node.left),
+            walk(node.right),
+        )
+
+    return walk(tree.root)
+
+
+@st.composite
+def centroid_workloads(draw):
+    """An atom matrix and the weighted groups HQI builds at m > 0.
+    Attribute columns, then a one-hot routing-centroid block (its columns
+    cover every row, so accumulating them can empty the right side), then
+    a copy and the complement of column 0 (so equal-cost cuts tie)."""
+    g = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(10, 120))
+    n_attr, n_cent = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    m = draw(st.integers(0, min(3, n_cent)))
+    attr = g.random((n, n_attr)) < g.random(n_attr)
+    cent = g.integers(0, max(n_cent, 1), n)[:, None] == np.arange(n_cent)
+    matrix = np.column_stack([attr, cent, attr[:, 0], ~attr[:, 0]])
+    and_cols = [*range(n_attr), n_attr + n_cent, n_attr + n_cent + 1]
+    groups = [
+        QueryGroup(
+            and_idxs=tuple(j for j in and_cols if g.random() < 0.3),
+            or_idxs=tuple(sorted(n_attr + g.choice(n_cent, m, replace=False))),
+            weight=int(g.integers(1, 4)),
+        )
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    return matrix, groups, draw(st.sampled_from([1, 3, 10]))
+
+
 class TestQDTreeProperties:
+    @given(centroid_workloads())
+    @settings(max_examples=80, deadline=None)
+    def test_build_equals_scalar_algorithm(self, case):
+        """The matrix build picks the scalar Algorithm 1–2's cuts: equal
+        split atoms and equal leaf row sets, ties and degenerate cuts too."""
+        matrix, groups, min_size = case
+        atoms = [Cmp(f"c{i}", "=", 1) for i in range(matrix.shape[1])]
+        tree = construct_balanced_qdtree(matrix, atoms, groups, min_size=min_size)
+        assert tree_shape(tree) == scalar_qdtree(matrix, groups, min_size)
+
     @given(st.integers(30, 200), st.integers(2, 8), st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_leaves_always_partition_rows(self, n, n_atoms, seed):
@@ -287,8 +401,8 @@ class TestQDTreeProperties:
     @given(st.integers(30, 200), st.integers(1, 8), st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_route_groups_equals_per_leaf_loop(self, n, n_atoms, seed):
-        """``route_groups`` routes every group as ``_routed`` does leaf by
-        leaf: AND atoms all satisfiable, and some OR atom when any."""
+        """``route_groups`` routes every group as ``scalar_routed`` does
+        leaf by leaf: AND atoms all satisfiable, and some OR atom when any."""
         g = np.random.default_rng(seed)
         matrix = g.random((n, n_atoms)) < g.random(n_atoms) / 2
         atoms = [Cmp(f"c{i}", "=", 1) for i in range(n_atoms)]
@@ -300,6 +414,8 @@ class TestQDTreeProperties:
             for _ in range(20)
         ]
         tree = construct_balanced_qdtree(matrix, atoms, groups, min_size=8)
-        expected = [[_routed(lf.any_true, grp) for lf in tree.leaves] for grp in groups]
+        expected = [
+            [scalar_routed(lf.any_true, grp) for lf in tree.leaves] for grp in groups
+        ]
         np.testing.assert_array_equal(tree.route_groups(groups), expected)
         assert tree.route_groups([]).shape == (0, tree.n_leaves)

@@ -8,7 +8,6 @@ import pytest
 from repro.bench.datasets import bigann_lite, bigann_workload
 from repro.core.distance import pairwise_scores
 from repro.core.predicates import Cmp, Conjunction, In, NotNull
-from repro.core.qdtree import _routed
 from repro.core.types import Workload
 from repro.exec.engine import ExecParams
 from repro.exec.routing import ROUTE_COLUMNS, _range_pids, route_queries
@@ -21,6 +20,7 @@ from repro.index.layout import (
 )
 from repro.kg.entities import kg_entities
 from repro.kg.workload import relatedqs_workload
+from tests.test_property_based import scalar_routed
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +328,7 @@ class TestHQIRouting:
             atoms = list(wl.templates[int(wl.qtemplates[q])])
             centroids = [In(CENTROID_COL, [int(c)]) for c in qc[q]] if m else []
             g = tree.group_for(atoms, centroids)
-            return [lf.pid for lf in tree.leaves if _routed(lf.any_true, g)]
+            return [lf.pid for lf in tree.leaves if scalar_routed(lf.any_true, g)]
 
         assert _rows(routed) == _loop_rows(wl, pids_of_query, by_template=m == 0)
 
