@@ -4,8 +4,11 @@ Both engines run one pipeline: ``route_queries`` on the driver, then
 ``search_partition`` once per routed index partition, then
 ``merge_rows_to_result`` on the driver.
 
-- the local reference engine loops over partitions on the driver
-  (used for nprobe tuning and as the parity oracle in tests);
+- the local engine searches the routed partitions on the driver's
+  cores: in forked worker processes when the batch routes enough rows,
+  inline otherwise, and concatenates their rows in pid order (used for
+  perfbench, nprobe tuning, the tables' single-node timings and as the
+  parity oracle in tests);
 - the Spark engine calls ``search_partition`` inside ``mapInPandas``
   tasks over the cached layout's routed rows, each an index partition
   packed by ``PartitionData.pack``, and collects their rows to the

@@ -17,7 +17,7 @@ RelatedQS / LP).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -56,6 +56,9 @@ class BuiltIndex:
     parts: dict  # pid -> PartitionData, built on the driver
     layout: SparkLayout | None = None  # the partitions shipped to Spark
     build_seconds: float = 0.0
+    # pid -> seconds of that partition's IVF k-means, wherever it ran (a
+    # forked worker's calls escape driver-side tracing); empty for flat.
+    kmeans_seconds: dict = field(default_factory=dict)
 
 
 def _check_range_applicable(workload: Workload, attr: str) -> None:
@@ -95,7 +98,9 @@ def build_index(
             plan = plan_range(dataset, attr=RANGE_ATTR, n_parts=range_parts)
         else:  # prefilter / postfilter / hqi-without-history (LP)
             plan = plan_flat(dataset, n_buckets=n_buckets, seed=seed)
-        built = BuiltIndex(approach, dataset, plan, materialize_local(dataset, plan))
+        kmeans_s: dict[int, float] = {}
+        parts = materialize_local(dataset, plan, kmeans_s)
+        built = BuiltIndex(approach, dataset, plan, parts, kmeans_seconds=kmeans_s)
         if engine == "spark":
             built.layout = materialize_spark(spark, plan, built.parts)
     built.build_seconds = t.seconds

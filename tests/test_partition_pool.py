@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.config import SCALES
 from repro.bench.datasets import bigann_lite, bigann_workload
+from repro.core import forkpool
 from repro.exec.strategies import build_index, run_queries
 from repro.index import layout
 from repro.kg.entities import kg_entities
@@ -59,6 +60,19 @@ def test_widths_one_and_four_build_the_same_bytes(ms, approach, m):
     assert started == {1: 0, 4: 4}
 
 
+@pytest.mark.parametrize("approach", ["hqi", "range", "prefilter"])
+def test_kmeans_seconds_per_trained_pid(ms, approach):
+    """Each trained partition reports its k-means seconds, whether it ran
+    inline or in a worker; the flat layout trains none."""
+    ds, wl = ms
+    for width in (1, 4):
+        with mock.patch.object(layout, "cpus", return_value=width):
+            built = _build(approach, ds, wl if approach != "prefilter" else None)
+        trained = set() if approach == "prefilter" else set(built.parts)
+        assert set(built.kmeans_seconds) == trained
+        assert all(s >= 0 for s in built.kmeans_seconds.values())
+
+
 def test_one_cpu_starts_no_process(ms):
     ds, wl = ms
     for cpus in ({0}, {0, 1, 2, 3}):
@@ -80,7 +94,7 @@ def test_no_worker_outlives_the_build(ms):
         for approach in ("hqi", "range"):
             _build(approach, ds, wl)
             assert mp.active_children() == []
-            assert layout._STAGED is None
+            assert forkpool._STAGED is None
 
 
 def test_worker_exception_is_raised_by_the_build(ms):
@@ -97,7 +111,7 @@ def test_worker_exception_is_raised_by_the_build(ms):
         with pytest.raises(RuntimeError, match="leaf 3 failed in worker"):
             _build("hqi", ds, wl)
     assert mp.active_children() == []
-    assert layout._STAGED is None
+    assert forkpool._STAGED is None
 
 
 def test_build_with_live_spark_session(spark):
