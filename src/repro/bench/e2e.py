@@ -201,10 +201,10 @@ def run_dataset(
 
 def warm_spark(spark: SparkSession) -> None:
     """Ship one small packed layout, untimed, as ``materialize_spark``
-    ships a built index (``createDataFrame``, ``repartition``, ``cache``,
-    ``count``). The session's first job pays the JVM's start-up: RelatedQS
-    HQI's ship took 5.0 s cold against 0.7–0.8 s warm, which made Table 4's
-    first timed build read slow."""
+    ships a built index (write the packed rows, read them through the
+    ``hqi`` DataSource, ``cache``, ``count``). The session's first job pays
+    the JVM's start-up: RelatedQS HQI's ship took 5.0 s cold against
+    0.7–0.8 s warm, which made Table 4's first timed build read slow."""
     ds = kg_entities(n=512, dim=4, seed=0)
     build_index("prefilter", ds, engine="spark", spark=spark, n_buckets=2).layout.unpersist()
 

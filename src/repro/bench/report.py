@@ -37,8 +37,8 @@ def format_table3(
     marked '*' did not reach the recall target at the probe cap (the
     paper prints '-' for these). ``time_attr`` selects the engine:
     ``run_seconds`` (single-node, the paper's setting) or
-    ``spark_run_seconds`` (distributed, carries a constant scheduling
-    floor that compresses ratios — see EXPERIMENTS.md)."""
+    ``spark_run_seconds`` (distributed: one Spark job per batch, whose
+    fixed scheduling cost compresses ratios — see EXPERIMENTS.md)."""
     by = _rows_by(rows)
     header = "Approach   | " + " | ".join(f"{d:>10}" for d in datasets)
     out = [header, "-" * len(header)]

@@ -1,9 +1,11 @@
 """Distributed batch executor (S8): Algorithm 3 over DataFrame partitions.
 
-The cached layout holds one packed row per index partition. A batch
-filters it to the routed partitions, so unrouted ones are never read, and
-one ``mapInPandas`` pass unpacks each routed row and runs the shared
-``search_partition`` on that partition's routed queries — no shuffle. The
+The cached layout (``layout.materialize_spark``) holds one packed row per
+index partition, the rows grouped into one Spark partition per slot. A
+batch filters it to the routed partitions, so unrouted ones are never
+read, and one ``mapInPandas`` pass unpacks each routed row and runs the
+shared ``search_partition`` on that partition's routed queries: one task
+per slot, and no shuffle. The
 driver collects the tasks' rows — at most k per (query, routed
 partition), plus one counter row per (partition, template) — and merges
 them with ``merge_rows_to_result``, as the local engine does.

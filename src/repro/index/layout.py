@@ -7,10 +7,14 @@ trains each partition's IVF on the driver (in forked worker processes,
 ``core.forkpool``, when there is more than one CPU and partition) and
 returns ``PartitionData`` objects, their rows in posting-list order; this
 is the only build of the index. For the Spark engine, ``materialize_spark``
-ships those partitions as a cached DataFrame of ``PartitionData.pack``
-rows, one row per partition, repartitioned by ``pid`` — the "vector
-index layout partitioned across DataFrame partitions". Each row carries
-its partition's centroids, so a Spark task needs nothing but its row.
+ships those partitions through the ``hqi`` DataSource (``index.datasource``):
+it writes each partition's ``PartitionData.pack`` row once into a layout
+directory, assigns the pids to ``min(defaultParallelism, partitions)``
+slots by rows (``lpt_slots``), and caches the DataFrame the DataSource
+reads back, one Spark partition per slot — the "vector index layout
+partitioned across DataFrame partitions", with no shuffle. Each row
+carries its partition's centroids, so a Spark task needs nothing but its
+rows.
 
 Layout kinds:
 
@@ -18,19 +22,20 @@ Layout kinds:
 - ``range`` — Strategy C: quantile range buckets over one attribute,
   per-bucket IVF;
 - ``flat``  — a single global IVF (PreFilter / PostFilter / LP): posting
-  lists are spread over ``n_buckets`` Spark partitions by
+  lists are spread over ``n_buckets`` index partitions by
   global list id modulo ``n_buckets`` so baseline scans parallelize fairly.
   Bucket ``b`` stores global lists ``b, b + n_buckets, …`` (empty ones
   included) as its local lists ``0, 1, …``, so local order is global order.
 """
 from __future__ import annotations
 
+import heapq
 import math
+import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.distance import pairwise_scores
@@ -39,7 +44,8 @@ from repro.core.kmeans import cpus, kmeans
 from repro.core.predicates import In, dictionary_encode
 from repro.core.qdtree import QDTree, QueryGroup, construct_balanced_qdtree, extract_atoms
 from repro.core.types import Dataset, Workload
-from repro.exec.engine import PACKED_SCHEMA, PartitionData
+from repro.exec.engine import PartitionData
+from repro.index.datasource import read_layout, write_layout
 
 CENTROID_COL = "centroid_id"
 _PART_SEED = 7000  # partition pid trains its IVF with seed _PART_SEED + pid
@@ -272,13 +278,35 @@ def materialize_local(
 @dataclass
 class SparkLayout:
     """The distributed index: a cached DataFrame of ``PACKED_SCHEMA`` rows,
-    one per partition, plus the plan that routes queries to them."""
+    one per partition, plus the plan that routes queries to them.
+
+    ``files`` is the layout directory ``df`` reads, owned by this layout
+    (``None`` for a view of a directory another layout owns). ``unpersist``
+    removes it, and so does its own finalizer at exit.
+    """
 
     df: DataFrame
     plan: PartitionPlan
+    files: tempfile.TemporaryDirectory | None = None
 
     def unpersist(self) -> None:
         self.df.unpersist()
+        if self.files is not None:
+            self.files.cleanup()
+
+
+def lpt_slots(rows_of: dict[int, int], n_slots: int) -> list[list[int]]:
+    """Longest-processing-time assignment of pids to ``n_slots`` slots:
+    the pid with the most rows (``rows_of``: pid -> rows) first, ties by
+    pid, each to the least-loaded slot, ties by slot. Each slot's pids
+    ascending."""
+    slots: list[list[int]] = [[] for _ in range(n_slots)]
+    loads = [(0, s) for s in range(n_slots)]
+    for pid in sorted(rows_of, key=lambda p: (-rows_of[p], p)):
+        load, s = heapq.heappop(loads)
+        slots[s].append(pid)
+        heapq.heappush(loads, (load + rows_of[pid], s))
+    return [sorted(slot) for slot in slots]
 
 
 def materialize_spark(
@@ -286,10 +314,13 @@ def materialize_spark(
     plan: PartitionPlan,
     parts: dict[int, PartitionData],
 ) -> SparkLayout:
-    """Ship the partitions ``materialize_local`` built to Spark, one packed
-    row each, hash-partitioned by ``pid`` and cached."""
-    rows = pd.DataFrame([part.pack() for part in parts.values()])
-    layout = spark.createDataFrame(rows, schema=PACKED_SCHEMA)
-    layout = layout.repartition(len(parts), "pid").cache()
+    """Ship the partitions ``materialize_local`` built to Spark: write them
+    once to a new layout directory and cache what the ``hqi`` DataSource
+    reads back, one Spark partition per ``lpt_slots`` slot."""
+    files = tempfile.TemporaryDirectory(prefix="hqi-layout-")
+    n_slots = min(spark.sparkContext.defaultParallelism, len(parts))
+    slots = lpt_slots({pid: len(part.ids) for pid, part in parts.items()}, n_slots)
+    write_layout(files.name, plan.kind, parts, slots)
+    layout = read_layout(spark, files.name).cache()
     layout.count()  # ship now, inside the build time
-    return SparkLayout(df=layout, plan=plan)
+    return SparkLayout(df=layout, plan=plan, files=files)

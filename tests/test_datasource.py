@@ -1,11 +1,14 @@
-"""Tests for the persisted-layout Python DataSource (S7)."""
+"""Tests for the ``hqi`` Python DataSource that Spark reads the layout
+through (S7)."""
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.exec.engine import PartitionData
 from repro.exec.strategies import build_index, run_queries
-from repro.index.datasource import load_meta, read_layout, save_layout
+from repro.index.datasource import META_FILE, load_meta, read_layout
 from repro.index.layout import SparkLayout
 from repro.kg.entities import kg_entities
 from repro.kg.workload import relatedqs_workload
@@ -25,13 +28,11 @@ def kg_load(kg):
 
 
 @pytest.fixture(scope="module")
-def persisted(spark, kg, kg_load, tmp_path_factory):
+def persisted(spark, kg, kg_load):
     built = build_index(
         "hqi", kg, kg_load, engine="spark", spark=spark, min_size=128
     )
-    path = str(tmp_path_factory.mktemp("hqi_index"))
-    save_layout(built.layout, path)
-    return built, path
+    return built, built.layout.files.name
 
 
 def _decoded(df):
@@ -44,7 +45,7 @@ class TestSaveLoad:
         built, path = persisted
         meta = load_meta(path)
         assert meta["kind"] == "hqi"
-        assert meta["pids"] == sorted(
+        assert sorted(p for slot in meta["slots"] for p in slot) == sorted(
             {int(p) for p in np.unique(built.plan.pid_of_row)}
         )
         part = PartitionData.unpack(read_layout(spark, path).first())
@@ -81,7 +82,7 @@ class TestSaveLoad:
 class TestPartitionPruning:
     def test_pids_option_prunes_scan(self, spark, persisted):
         built, path = persisted
-        all_pids = load_meta(path)["pids"]
+        all_pids = sorted(p for slot in load_meta(path)["slots"] for p in slot)
         keep = all_pids[:2]
         df = read_layout(spark, path, pids=keep)
         seen = {int(r["pid"]) for r in df.select("pid").distinct().collect()}
@@ -115,3 +116,26 @@ class TestPartitionPruning:
         built, path = persisted
         df = read_layout(spark, path, pids=[])
         assert df.count() == 0
+
+
+class TestLayoutDirectory:
+    def test_unpersist_removes_directory(self, spark, kg, kg_load):
+        built = build_index(
+            "hqi", kg, kg_load, engine="spark", spark=spark, min_size=128
+        )
+        path = built.layout.files.name
+        assert os.path.isfile(os.path.join(path, META_FILE))
+        built.layout.unpersist()
+        assert not os.path.exists(path)
+
+    def test_pids_option_drops_emptied_slots(self, spark, persisted):
+        _, path = persisted
+        slots = load_meta(path)["slots"]
+        keep = {slots[0][0], slots[-1][-1]}
+        got = [
+            sorted(int(r["pid"]) for r in part)
+            for part in read_layout(spark, path, pids=keep)
+            .select("pid").rdd.glom().collect()
+        ]
+        want = [[p for p in slot if p in keep] for slot in slots]
+        assert got == [slot for slot in want if slot]

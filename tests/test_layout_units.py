@@ -12,6 +12,7 @@ from repro.core.predicates import Cmp, Conjunction, In
 from repro.exec.engine import PartitionData
 from repro.index.layout import (
     CENTROID_COL,
+    lpt_slots,
     materialize_local,
     plan_flat,
     plan_hqi,
@@ -117,6 +118,13 @@ class TestPlanFlat:
         tiny = bigann_lite("msturing", n=9, seed=0)
         plan = plan_flat(tiny, n_buckets=64, seed=0)
         assert plan.n_buckets <= 3  # sqrt(9) lists
+
+
+def test_lpt_slots_largest_first_to_least_loaded():
+    # Order by rows: 1 (9), 4 (7), 0 and 2 (5 each; pid breaks the tie), 3 (2).
+    # Loads after each step: [9, 0], [9, 7], [9, 12], [14, 12], [14, 14].
+    assert lpt_slots({0: 5, 1: 9, 2: 5, 3: 2, 4: 7}, 2) == [[1, 2], [0, 3, 4]]
+    assert lpt_slots({3: 1, 5: 1}, 2) == [[3], [5]]
 
 
 class TestMaterializeLocal:

@@ -12,7 +12,13 @@ from repro.core.types import Workload
 from repro.exec.engine import PartitionData
 from repro.exec.recall import exhaustive_local
 from repro.exec.strategies import build_index, run_queries
-from repro.index.layout import materialize_local, materialize_spark, plan_flat, plan_hqi
+from repro.index.layout import (
+    lpt_slots,
+    materialize_local,
+    materialize_spark,
+    plan_flat,
+    plan_hqi,
+)
 from repro.kg.entities import kg_entities
 from repro.kg.workload import relatedqs_workload
 
@@ -86,6 +92,27 @@ class TestLayoutParity:
                 got["list_id"].to_numpy(), want["list"].to_numpy()
             )
             np.testing.assert_array_equal(shipped.centroids, part.centroids)
+        layout.unpersist()
+
+    @pytest.mark.parametrize("kind", ["hqi", "flat"])
+    def test_spark_partitions_are_lpt_slots(self, spark, kg, kg_load, kind):
+        """One non-empty Spark partition per slot, each pid once, in the
+        slot ``lpt_slots`` gives it; shipping the layout shuffles nothing."""
+        if kind == "hqi":
+            plan = plan_hqi(kg, kg_load, min_size=128)
+        else:
+            plan = plan_flat(kg, n_buckets=8)
+        local = materialize_local(kg, plan)
+        layout = materialize_spark(spark, plan, local)
+        n_slots = min(spark.sparkContext.defaultParallelism, len(local))
+        got = [
+            sorted(int(r["pid"]) for r in part)
+            for part in layout.df.select("pid").rdd.glom().collect()
+        ]
+        assert len(got) == n_slots and all(got)
+        assert sorted(p for slot in got for p in slot) == sorted(local)
+        assert got == lpt_slots({pid: len(p.ids) for pid, p in local.items()}, n_slots)
+        assert "Exchange" not in layout.df._jdf.queryExecution().executedPlan().toString()
         layout.unpersist()
 
 
